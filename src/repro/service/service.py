@@ -69,7 +69,8 @@ reference or explicitly marked degraded.  See ``docs/resilience.md``.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
+from collections.abc import Callable
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -231,28 +232,53 @@ class ServiceResult:
         return [s.tobytes() for s in streams]
 
 
-def _remap_ports(
-    entry: _CacheEntry, inputs: tuple[str, ...], outputs: tuple[str, ...]
-) -> tuple[dict, dict]:
-    """Translate the entry's pin maps to the requester's port names.
+@dataclass(frozen=True)
+class _Await:
+    """A producer's answer when it needs another job's result first.
+
+    The pipeline runs ``then(value)`` as a further pool stage of the
+    same job once ``future`` resolves to ``value``; a failed ``future``
+    fails the job with its error.  No pool slot blocks in between —
+    this is how a die job waits for its golden compile.
+    """
+
+    future: Future
+    then: Callable
+
+
+def _view(
+    key: tuple,
+    entry: _CacheEntry,
+    ports: tuple[tuple[str, ...], tuple[str, ...]],
+    *,
+    cached: bool,
+    coalesced: bool,
+    from_store: bool,
+) -> ServiceResult:
+    """One submission's view of an entry, in its own port names.
 
     Content-addressing guarantees the requester's netlist has the same
     port *structure* (count and position) as the entry's; names may
-    differ.  Wires for ports the flow never routed (dead inputs) are
-    absent from both sides.
+    differ, so pin maps are translated positionally.  Wires for ports
+    the flow never routed (dead inputs) are absent from both sides.
     """
+
+    def remap(names, own, wires) -> dict:
+        return {name: wires[o] for name, o in zip(names, own) if o in wires}
+
     res = entry.result
-    in_wires = {}
-    for i, req_name in enumerate(inputs):
-        wire = res.input_wires.get(entry.input_ports[i])
-        if wire is not None:
-            in_wires[req_name] = wire
-    out_wires = {}
-    for i, req_name in enumerate(outputs):
-        wire = res.output_wires.get(entry.output_ports[i])
-        if wire is not None:
-            out_wires[req_name] = wire
-    return in_wires, out_wires
+    return ServiceResult(
+        key=key,
+        result=res,
+        input_wires=remap(ports[0], entry.input_ports, res.input_wires),
+        output_wires=remap(ports[1], entry.output_ports, res.output_wires),
+        cached=cached,
+        coalesced=coalesced,
+        incremental=entry.incremental,
+        repaired=entry.repaired,
+        from_store=from_store,
+        degraded=entry.degraded,
+    )
 
 
 def _isolated_compile(netlist, kwargs, deadline, plan, token, attempt):
@@ -300,8 +326,6 @@ class CompileService:
         artifact is published to the store, so a restarted or sibling
         service on the same directory serves it byte-identically with
         zero recompiles (see ``docs/artifact-store.md``).
-    max_delta_frac, release_budget_frac:
-        Passed through to :func:`compile_incremental`; see there.
     retry:
         The :class:`repro.service.resilience.RetryPolicy` applied to
         transient faults on the store path (IO errors retry with
@@ -339,8 +363,6 @@ class CompileService:
         *,
         cache_capacity: int = 64,
         store: ArtifactStore | str | Path | None = None,
-        max_delta_frac: float | None = None,
-        release_budget_frac: float | None = None,
         retry: RetryPolicy | None = None,
         max_pending: int | None = None,
         isolation: str = "thread",
@@ -367,11 +389,6 @@ class CompileService:
         self._closed = False
         self._lock = threading.Lock()
         self._inflight: dict[tuple, Future] = {}
-        self._delta_kwargs = {}
-        if max_delta_frac is not None:
-            self._delta_kwargs["max_delta_frac"] = max_delta_frac
-        if release_budget_frac is not None:
-            self._delta_kwargs["release_budget_frac"] = release_budget_frac
         self._stats_lock = threading.Lock()
         self._pending = 0
         self._counters = {
@@ -400,11 +417,18 @@ class CompileService:
 
         Every already-accepted future settles (with its result or its
         job's exception) before this returns — a waiter can never hang
-        on a closed service.  Submitting afterwards raises
-        ``RuntimeError``.  Idempotent.
+        on a closed service.  In-flight jobs drain while the pool is
+        still open, so a job can still launch its later stages (a die
+        job's golden compile, then its repair); once none is left,
+        submitting raises ``RuntimeError``.  Idempotent.
         """
-        with self._lock:
-            self._closed = True
+        while True:
+            with self._lock:
+                jobs = list(self._inflight.values())
+                if not jobs:
+                    self._closed = True
+                    break
+            wait(jobs)
         self._pool.close()
         if self._procs is not None:
             self._procs.close()
@@ -495,15 +519,15 @@ class CompileService:
     def _store_get(self, key: tuple) -> _CacheEntry | None:
         """Probe the persisted tier (miss when no store is attached).
 
-        A hit is promoted into the in-memory cache and counted under
-        ``store_hits``, so the next lookup of this key is a plain
-        memory hit.  Store-side integrity failures surface here as
-        misses by the store's own contract; transient IO trouble
-        retries under the service policy and then *degrades to a miss*
-        (counted under ``store_errors``) — a flaky disk costs a
-        recompile, never a failed job.  A deadline expiring mid-retry
-        still surfaces: timing out is the job's contract, not the
-        store's.
+        A hit is counted under ``store_hits``; the pipeline then
+        publishes it to the in-memory cache, so the next lookup of this
+        key is a plain memory hit.  Store-side integrity failures
+        surface here as misses by the store's own contract; transient
+        IO trouble retries under the service policy and then *degrades
+        to a miss* (counted under ``store_errors``) — a flaky disk
+        costs a recompile, never a failed job.  A deadline expiring
+        mid-retry still surfaces: timing out is the job's contract, not
+        the store's.
         """
         if self.store is None:
             return None
@@ -520,7 +544,6 @@ class CompileService:
             return None
         if entry is not None:
             self._bump("store_hits")
-            self.cache.put(key, entry)
         return entry
 
     def _store_put(self, key: tuple, entry: _CacheEntry) -> None:
@@ -546,70 +569,164 @@ class CompileService:
         except (TransientFault, OSError):
             self._bump("store_errors")
 
-    # -- the compile path -----------------------------------------------
-    def _compile_cold(
+    # -- the job pipeline -----------------------------------------------
+    def _serve(
         self,
+        key: tuple,
         netlist: Netlist,
         options: CompileOptions,
-        *,
         token: str,
-        defect_map: DefectMap | None = None,
-    ):
-        """One cold compile under the configured isolation mode.
+        produce: Callable[[], _CacheEntry | _Await],
+        *,
+        admit: bool = True,
+    ) -> Future:
+        """The one job pipeline behind every submission path.
 
-        Thread mode calls :func:`compile_to_fabric` in place (the
-        deadline scope installed by the caller covers it).  Process
-        mode ships the job — with the *remaining* deadline and the
-        active fault plan — into a crash-isolated subprocess: if the
-        worker dies mid-job (``os._exit``, a segfault, an injected
-        crash) it is respawned and the job resubmitted exactly once
-        (``worker_restarts``); a second death raises
-        :class:`WorkerLost`.  Results are byte-identical across modes
-        and across restarts — a compile is a pure function of
-        (netlist, options), so re-running it is safe by construction.
+        key → memory → admission → coalesce → (on the pool) store →
+        ``produce()`` → publish → settle.  Memory hits resolve here, in
+        the caller's thread, and are never shed.  A miss either joins
+        the key's in-flight job or starts one; the job probes the
+        persisted store on the pool and calls ``produce`` only on a
+        store miss.  ``produce`` returns the new entry, or an
+        :class:`_Await` to continue once another job settles.
+
+        ``admit=False`` skips admission for a job an already admitted
+        one depends on (a die's golden compile): shedding it would fail
+        work the service has accepted.
         """
-        kwargs = options.compile_kwargs()
-        if defect_map is not None:
-            kwargs["defect_map"] = defect_map
-        if self._procs is None:
-            return compile_to_fabric(netlist, **kwargs)
-        deadline = current_deadline()
-        remaining = deadline.remaining() if deadline is not None else None
-        plan = active_fault_plan()
-        for attempt in range(2):
-            try:
-                return self._procs.run(
-                    _isolated_compile,
-                    netlist, kwargs, remaining, plan, token, attempt,
-                )
-            except WorkerCrash:
-                if attempt == 0:
-                    self._bump("worker_restarts")
-                    continue
-                raise WorkerLost(
-                    f"compile worker died twice on job {token}; giving up"
-                ) from None
+        self._check_open()
+        fault_point("service.submit", token=token)
+        self._bump("submissions")
+        # Snapshot the requester's port spelling now — the netlist is
+        # the caller's object and this future may resolve much later.
+        ports = (tuple(netlist.inputs), tuple(netlist.outputs))
+        job: Future = Future()
+        inflight = None
+        entry = self.cache.get(key)
+        if entry is None:
+            if admit:
+                self._admit()
+            with self._lock:
+                # Re-check under the lock: a racing job may have
+                # published (cache.put, then the in-flight pop) since
+                # the probe above.  peek, not get — that probe already
+                # charged this submission its miss.
+                entry = self.cache.peek(key)
+                inflight = self._inflight.get(key)
+                if entry is None and inflight is None:
+                    self._inflight[key] = job
+        if entry is not None:
+            job.set_result((entry, False))
+            return self._waiter(job, key, ports, cached=True, coalesced=False)
+        if inflight is not None:
+            self._bump("coalesced")
+            return self._waiter(
+                inflight, key, ports, cached=True, coalesced=True
+            )
 
-    def _launch(self, key: tuple, compiled: Future, run) -> None:
+        def probe():
+            fault_point("service.run", token=token)
+            hit = self._store_get(key)
+            return (hit, True) if hit is not None else (produce(), False)
+
+        waiter = self._waiter(job, key, ports, cached=False, coalesced=False)
+        self._launch(
+            key, job, lambda: self._run(key, job, options, token, probe)
+        )
+        return waiter
+
+    def _waiter(
+        self, job: Future, key: tuple, ports: tuple, *,
+        cached: bool, coalesced: bool,
+    ) -> Future:
+        """One submission's tracked future, settled from its job's."""
+        out = self._track(Future())
+
+        def _settle(done: Future) -> None:
+            err = done.exception()
+            if err is not None:
+                out.set_exception(err)
+                return
+            entry, from_store = done.result()
+            out.set_result(_view(
+                key, entry, ports, cached=cached or from_store,
+                coalesced=coalesced, from_store=from_store,
+            ))
+
+        job.add_done_callback(_settle)
+        return out
+
+    def _run(self, key, job: Future, options, token: str, stage) -> None:
+        """Run one pool stage of ``job``; publish and settle it.
+
+        ``stage()`` returns ``(entry, from_store)`` or ``(_Await,
+        False)``.  A finished entry is published to the memory tier
+        and, unless it came from there, the store — a degraded
+        stand-in to neither — then passes ``service.settle``.  Never
+        raises: every outcome settles ``job``.
+        """
+        try:
+            with deadline_scope(options.deadline):
+                out, from_store = stage()
+                if not isinstance(out, _Await):
+                    if not out.degraded:
+                        self.cache.put(key, out)
+                        if not from_store:
+                            self._store_put(key, out)
+                    fault_point("service.settle", token=token)
+        except CompileTimeout as e:
+            self._bump("timeouts")
+            self._finish(key, job, error=e)
+        except BaseException as e:  # noqa: BLE001 - the future carries it
+            self._finish(key, job, error=e)
+        else:
+            if not isinstance(out, _Await):
+                self._finish(key, job, (out, from_store))
+                return
+
+            def resume(dep: Future) -> None:
+                err = dep.exception()
+                if err is not None:
+                    self._finish(key, job, error=err)
+                    return
+                def then():
+                    return out.then(dep.result()), False
+
+                self._launch(
+                    key, job, lambda: self._run(key, job, options, token, then)
+                )
+
+            out.future.add_done_callback(resume)
+
+    def _finish(self, key, job: Future, outcome=None, error=None) -> None:
+        """Settle ``job``: leave the in-flight table, then wake waiters."""
+        with self._lock:
+            self._inflight.pop(key, None)
+        if error is not None:
+            job.set_exception(error)
+        else:
+            job.set_result(outcome)
+
+    def _launch(self, key: tuple, job: Future, run) -> None:
         """Put ``run`` on the pool, supervised against worker death.
 
-        ``run`` itself never raises (it settles ``compiled``), so an
+        ``run`` itself never raises (it settles ``job``), so an
         exception on the *pool-level* future means the worker died
         before ``run`` executed — an injected ``pool.worker`` fault, in
         practice.  The supervisor resubmits exactly once
-        (``worker_restarts``); a second death settles ``compiled`` with
-        :class:`WorkerLost` and performs the in-flight cleanup ``run``
-        never got to, so coalesced waiters always settle, never hang.
+        (``worker_restarts``); a second death, or a pool that refuses
+        the job, settles ``job`` with the error, so waiters always
+        settle, never hang.
         """
-
-        resubmitted = [False]
+        resubmitted = False
 
         def _supervise(pool_future: Future) -> None:
+            nonlocal resubmitted
             err = pool_future.exception()
-            if err is None or compiled.done():
+            if err is None or job.done():
                 return
-            if is_transient(err) and not resubmitted[0]:
-                resubmitted[0] = True
+            if is_transient(err) and not resubmitted:
+                resubmitted = True
                 self._bump("worker_restarts")
                 try:
                     self._pool.submit(run).add_done_callback(_supervise)
@@ -623,11 +740,58 @@ class CompileService:
                 err = WorkerLost(
                     "worker died twice running one job; giving up"
                 )
-            with self._lock:
-                self._inflight.pop(key, None)
-            compiled.set_exception(err)
+            self._finish(key, job, error=err)
 
-        self._pool.submit(run).add_done_callback(_supervise)
+        try:
+            self._pool.submit(run).add_done_callback(_supervise)
+        except RuntimeError as e:  # the pool closed under a later stage
+            self._finish(key, job, error=e)
+
+    # -- the producers --------------------------------------------------
+    def _compile_cold(
+        self,
+        netlist: Netlist,
+        options: CompileOptions,
+        *,
+        token: str,
+        defect_map: DefectMap | None = None,
+    ) -> _CacheEntry:
+        """One cold compile under the configured isolation mode.
+
+        Thread mode calls :func:`compile_to_fabric` in place (the
+        deadline scope of the job covers it).  Process mode ships the
+        job — with the *remaining* deadline and the active fault plan —
+        into a crash-isolated subprocess: if the worker dies mid-job
+        (``os._exit``, a segfault, an injected crash) it is respawned
+        and the job resubmitted exactly once (``worker_restarts``); a
+        second death raises :class:`WorkerLost`.  Results are
+        byte-identical across modes and across restarts — a compile is
+        a pure function of (netlist, options), so re-running it is safe
+        by construction.
+        """
+        self._bump("compiles")
+        ports = (tuple(netlist.inputs), tuple(netlist.outputs))
+        kwargs = options.compile_kwargs()
+        if defect_map is not None:
+            kwargs["defect_map"] = defect_map
+        if self._procs is None:
+            return _CacheEntry(compile_to_fabric(netlist, **kwargs), *ports)
+        deadline = current_deadline()
+        remaining = deadline.remaining() if deadline is not None else None
+        plan = active_fault_plan()
+        for attempt in range(2):
+            try:
+                return _CacheEntry(self._procs.run(
+                    _isolated_compile,
+                    netlist, kwargs, remaining, plan, token, attempt,
+                ), *ports)
+            except WorkerCrash:
+                if attempt == 0:
+                    self._bump("worker_restarts")
+                    continue
+                raise WorkerLost(
+                    f"compile worker died twice on job {token}; giving up"
+                ) from None
 
     def job_key(self, netlist: Netlist, options: CompileOptions) -> tuple:
         """The content-addressed cache key of one submission."""
@@ -657,124 +821,18 @@ class CompileService:
         timeout, worker death, injected fault — an admitted future
         settles exactly once.
         """
-        options = options or CompileOptions()
-        self._check_open()
+        return self._submit(netlist, options or CompileOptions())
+
+    def _submit(
+        self, netlist: Netlist, options: CompileOptions, *, admit: bool = True
+    ) -> Future:
         key = self.job_key(netlist, options)
         token = key[0][:12]
-        fault_point("service.submit", token=token)
-        self._bump("submissions")
-        # Snapshot the requester's port spelling now — the netlist is
-        # the caller's object and this future may resolve much later.
-        req_inputs = tuple(netlist.inputs)
-        req_outputs = tuple(netlist.outputs)
-
-        def view(
-            entry: _CacheEntry, *, cached: bool, coalesced: bool,
-            from_store: bool = False,
-        ):
-            in_wires, out_wires = _remap_ports(entry, req_inputs, req_outputs)
-            return ServiceResult(
-                key=key,
-                result=entry.result,
-                input_wires=in_wires,
-                output_wires=out_wires,
-                cached=cached,
-                coalesced=coalesced,
-                incremental=entry.incremental,
-                repaired=entry.repaired,
-                from_store=from_store,
-                degraded=entry.degraded,
-            )
-
-        entry = self.cache.get(key)
-        if entry is not None:
-            future: Future = Future()
-            future.set_result(view(entry, cached=True, coalesced=False))
-            return self._track(future)
-
-        self._admit()
-        with self._lock:
-            # Re-check under the lock: a racing compile may have
-            # finished (cache.put then inflight pop, in that order)
-            # between the lock-free cache probe above and here.  peek,
-            # not get — the entry is already most-recent and the probe
-            # above already charged this submission its miss.
-            entry = self.cache.peek(key)
-            if entry is not None:
-                future = Future()
-                future.set_result(view(entry, cached=True, coalesced=False))
-                return self._track(future)
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                self._bump("coalesced")
-                chained: Future = Future()
-
-                def _chain(done: Future, out: Future = chained) -> None:
-                    err = done.exception()
-                    if err is not None:
-                        out.set_exception(err)
-                    else:
-                        entry, from_store = done.result()
-                        out.set_result(view(
-                            entry, cached=True, coalesced=True,
-                            from_store=from_store,
-                        ))
-
-                inflight.add_done_callback(_chain)
-                return self._track(chained)
-
-            compiled: Future = Future()
-            self._inflight[key] = compiled
-
-        def run() -> None:
-            try:
-                with deadline_scope(options.deadline):
-                    fault_point("service.run", token=token)
-                    # Tier 2: the persisted store.  Probed on the pool,
-                    # not in submit() — deserialising a large artifact
-                    # must not block the submitting thread, and the
-                    # in-flight future already coalesces duplicates.
-                    entry = self._store_get(key)
-                    if entry is not None:
-                        fault_point("service.settle", token=token)
-                        compiled.set_result((entry, True))
-                        return
-                    self._bump("compiles")
-                    result = self._compile_cold(netlist, options, token=token)
-                    entry = _CacheEntry(
-                        result=result,
-                        input_ports=req_inputs,
-                        output_ports=req_outputs,
-                    )
-                    self.cache.put(key, entry)
-                    self._store_put(key, entry)
-                    fault_point("service.settle", token=token)
-                    compiled.set_result((entry, False))
-            except CompileTimeout as e:
-                self._bump("timeouts")
-                compiled.set_exception(e)
-            except BaseException as e:  # noqa: BLE001 - future carries it
-                compiled.set_exception(e)
-            finally:
-                with self._lock:
-                    self._inflight.pop(key, None)
-
-        mine: Future = Future()
-
-        def _settle(done: Future, out: Future = mine) -> None:
-            err = done.exception()
-            if err is not None:
-                out.set_exception(err)
-            else:
-                entry, from_store = done.result()
-                out.set_result(view(
-                    entry, cached=from_store, coalesced=False,
-                    from_store=from_store,
-                ))
-
-        compiled.add_done_callback(_settle)
-        self._launch(key, compiled, run)
-        return self._track(mine)
+        return self._serve(
+            key, netlist, options, token,
+            lambda: self._compile_cold(netlist, options, token=token),
+            admit=admit,
+        )
 
     def compile(
         self, netlist: Netlist, options: CompileOptions | None = None
@@ -810,25 +868,23 @@ class CompileService:
         """Enqueue a defect-adaptive compile for one die.
 
         Compiles the design once (the **golden** artifact, obtained
-        through the normal cached :meth:`compile` path, so a fleet of
-        dies shares one cold compile) and then adapts it to this die's
-        defects with :func:`repro.pnr.defects.repair_for_die` on the
-        pool.  When the die is too broken for the warm path
+        through the normal cached path, so a fleet of dies shares one
+        cold compile) and then adapts it to this die's defects with
+        :func:`repro.pnr.defects.repair_for_die` on the pool.  When the
+        die is too broken for the warm path
         (:class:`repro.pnr.defects.RepairFallback`), the job falls back
         to a full defect-aware cold compile — an unroutable die
         surfaces as the compile error on the returned future.
 
-        The golden compile resolves synchronously in the *calling*
-        thread (a cache hit after the first die), never inside the pool
-        job: a nested blocking submit from a pool slot could deadlock a
-        small pool.  Each die submission therefore also counts one
-        golden submission in :meth:`stats`.
-
-        Die artifacts cache under :meth:`die_key`; hits resolve
-        immediately (from memory or the persisted store — a die another
-        process repaired is served from disk without touching the
-        golden) and concurrent submissions of the same die coalesce,
-        exactly like :meth:`submit`.
+        Die artifacts cache under :meth:`die_key` and go through the
+        same pipeline as :meth:`submit`: hits resolve immediately,
+        concurrent submissions of one die coalesce, and the job probes
+        the persisted store on the pool — a die another process
+        repaired is served from disk without touching the golden.  On
+        a store miss the job submits the golden (one more counted
+        submission, never shed: the die was already admitted) and
+        repairs in a later pool stage once it resolves, so no pool slot
+        ever waits on another job.
 
         Graceful degradation (``degrade_under_pressure``, default on):
         when repair declines (:class:`RepairFallback`) while the
@@ -839,117 +895,51 @@ class CompileService:
         so a calmer resubmission performs the real repair.
         """
         options = options or CompileOptions()
-        self._check_open()
         if options.shards is not None or options.max_side is not None:
             raise ValueError(
                 "per-die compiles are single-array; drop shards/max_side"
             )
         key = self.die_key(netlist, options, defect_map)
         token = f"{key[0][:12]}:die:{defect_map.digest()[:12]}"
-        fault_point("service.submit", token=token)
-        self._bump("submissions")
-        req_inputs = tuple(netlist.inputs)
-        req_outputs = tuple(netlist.outputs)
 
-        def view(
-            entry: _CacheEntry, *, cached: bool, coalesced: bool,
-            from_store: bool = False,
-        ):
-            in_wires, out_wires = _remap_ports(entry, req_inputs, req_outputs)
-            return ServiceResult(
-                key=key,
-                result=entry.result,
-                input_wires=in_wires,
-                output_wires=out_wires,
-                cached=cached,
-                coalesced=coalesced,
-                incremental=entry.incremental,
-                repaired=entry.repaired,
-                from_store=from_store,
-                degraded=entry.degraded,
-            )
-
-        entry = self.cache.get(key)
-        if entry is not None:
-            future: Future = Future()
-            future.set_result(view(entry, cached=True, coalesced=False))
-            return self._track(future)
-
-        self._admit()
-        with self._lock:
-            entry = self.cache.peek(key)
-            if entry is not None:
-                future = Future()
-                future.set_result(view(entry, cached=True, coalesced=False))
-                return self._track(future)
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                self._bump("coalesced")
-                chained: Future = Future()
-
-                def _chain(done: Future, out: Future = chained) -> None:
-                    err = done.exception()
-                    if err is not None:
-                        out.set_exception(err)
-                    else:
-                        entry, from_store = done.result()
-                        out.set_result(view(
-                            entry, cached=True, coalesced=True,
-                            from_store=from_store,
-                        ))
-
-                inflight.add_done_callback(_chain)
-                return self._track(chained)
-
-            compiled: Future = Future()
-            self._inflight[key] = compiled
-
-        mine: Future = Future()
-
-        def _settle(done: Future, out: Future = mine) -> None:
-            err = done.exception()
-            if err is not None:
-                out.set_exception(err)
-            else:
-                entry, from_store = done.result()
-                out.set_result(view(
-                    entry, cached=from_store, coalesced=False,
-                    from_store=from_store,
-                ))
-
-        compiled.add_done_callback(_settle)
-
-        # Tier 2 first: a die already repaired by another process (or
-        # an earlier life of this one) serves straight from the store —
-        # the golden artifact is not even loaded.  This probe runs in
-        # the calling thread because the golden resolve below does too.
-        try:
-            entry = self._store_get(key)
-        except BaseException as e:  # noqa: BLE001 - future carries it
-            with self._lock:
-                self._inflight.pop(key, None)
-            compiled.set_exception(e)
-            return self._track(mine)
-        if entry is not None:
-            with self._lock:
-                self._inflight.pop(key, None)
-            compiled.set_result((entry, True))
-            return self._track(mine)
-
-        try:
-            golden = self.compile(netlist, options)
-        except BaseException as e:  # noqa: BLE001 - future carries it
-            with self._lock:
-                self._inflight.pop(key, None)
-            compiled.set_exception(e)
-            return self._track(mine)
-
-        def degraded_entry() -> _CacheEntry:
-            # Serve the golden artifact as a marked stand-in.  Its
-            # port spelling is the golden source's (the same remap
-            # contract as the repair path); it is handed to waiters
-            # but never cached or persisted — the die deserves its
-            # real repair when pressure subsides.
+        def repair(golden: ServiceResult) -> _CacheEntry:
+            try:
+                try:
+                    result = repair_for_die(
+                        golden.result,
+                        defect_map,
+                        target_period=options.target_period,
+                        seed=options.seed,
+                    )
+                    self._bump("repairs")
+                    # The repaired artifact keeps the *golden* netlist's
+                    # port spelling (repair reuses the golden source,
+                    # which may be an isomorphic sibling of this
+                    # submission); each view remaps it to the requester.
+                    return _CacheEntry(
+                        result=result,
+                        input_ports=tuple(result.source.inputs),
+                        output_ports=tuple(result.source.outputs),
+                        repaired=True,
+                    )
+                except RepairFallback:
+                    self._bump("repair_fallbacks")
+                    # Repair declined.  With the queue full, a cold
+                    # defect-aware compile now would stall everyone
+                    # behind it: serve the stand-in below instead.
+                    if not (self._degrade and self._under_pressure()):
+                        return self._compile_cold(
+                            netlist, options,
+                            token=token, defect_map=defect_map,
+                        )
+            except (CompileTimeout, TransientFault) as e:
+                if not self._degrade:
+                    raise
+                # The job's time or worker budget is spent — the golden
+                # stand-in beats erroring the die.
+                if isinstance(e, CompileTimeout):
+                    self._bump("timeouts")
+            self._bump("degraded")
             return _CacheEntry(
                 result=golden.result,
                 input_ports=tuple(golden.result.source.inputs),
@@ -957,72 +947,11 @@ class CompileService:
                 degraded=True,
             )
 
-        def run() -> None:
-            try:
-                with deadline_scope(options.deadline):
-                    fault_point("service.run", token=token)
-                    try:
-                        try:
-                            result = repair_for_die(
-                                golden.result,
-                                defect_map,
-                                target_period=options.target_period,
-                                seed=options.seed,
-                            )
-                            self._bump("repairs")
-                            repaired = True
-                        except RepairFallback:
-                            self._bump("repair_fallbacks")
-                            if self._degrade and self._under_pressure():
-                                # Repair declined and the queue is
-                                # full: a cold defect-aware compile now
-                                # would stall everyone behind it.
-                                self._bump("degraded")
-                                compiled.set_result((degraded_entry(), False))
-                                return
-                            self._bump("compiles")
-                            result = self._compile_cold(
-                                netlist, options,
-                                token=token, defect_map=defect_map,
-                            )
-                            repaired = False
-                    except (CompileTimeout, TransientFault) as e:
-                        if not self._degrade:
-                            raise
-                        # The job's time or worker budget is spent —
-                        # the golden stand-in beats erroring the die.
-                        if isinstance(e, CompileTimeout):
-                            self._bump("timeouts")
-                        self._bump("degraded")
-                        compiled.set_result((degraded_entry(), False))
-                        return
-                    # The repaired artifact keeps the *golden*
-                    # netlist's port spelling (repair reuses the golden
-                    # source, which may be an isomorphic sibling of
-                    # this submission), so the entry's port order must
-                    # come from the artifact — the requester's spelling
-                    # is remapped per view.
-                    entry = _CacheEntry(
-                        result=result,
-                        input_ports=tuple(result.source.inputs),
-                        output_ports=tuple(result.source.outputs),
-                        repaired=repaired,
-                    )
-                    self.cache.put(key, entry)
-                    self._store_put(key, entry)
-                    fault_point("service.settle", token=token)
-                    compiled.set_result((entry, False))
-            except CompileTimeout as e:
-                self._bump("timeouts")
-                compiled.set_exception(e)
-            except BaseException as e:  # noqa: BLE001 - future carries it
-                compiled.set_exception(e)
-            finally:
-                with self._lock:
-                    self._inflight.pop(key, None)
+        def golden_then_repair() -> _Await:
+            golden = self._submit(netlist, options, admit=False)
+            return _Await(golden, repair)
 
-        self._launch(key, compiled, run)
-        return self._track(mine)
+        return self._serve(key, netlist, options, token, golden_then_repair)
 
     def compile_for_die(
         self,
@@ -1043,101 +972,43 @@ class CompileService:
         """Recompile an edited netlist, warm-starting from ``base``.
 
         Takes the delta path (:func:`compile_incremental`) when the
-        edit is small enough; otherwise falls back to a full cold
-        compile through the normal cached/coalesced :meth:`submit`
-        machinery.  The result is cached under the *edited* netlist's
-        content key — in memory and in the persisted store — so
-        submitting the same edit again (from this service or a sibling
-        on the same store) is a plain hit.
+        edit is small enough; otherwise the same job falls back to a
+        full cold compile.  Either way the result is cached under the
+        *edited* netlist's content key — in memory and in the persisted
+        store — so submitting the same edit again (from this service or
+        a sibling on the same store) is a plain hit.
 
-        A blocking call still keeps the resilience books: it counts
-        pending while it runs and settled when it returns (or raises),
-        honours ``options.deadline`` on the delta path, and raises
-        ``RuntimeError`` after :meth:`close`.
+        A blocking call over the same pipeline as :meth:`submit`:
+        concurrent recompiles of one edit coalesce onto one job, a full
+        queue sheds it (:class:`ServiceOverloaded`), ``options.deadline``
+        bounds the job, and after :meth:`close` it raises
+        ``RuntimeError``.  A fallback is one submission and one compile.
         """
         options = options or CompileOptions()
-        self._check_open()
         key = self.job_key(netlist, options)
-        fault_point("service.submit", token=key[0][:12])
-        self._bump("submissions")
-        with self._stats_lock:
-            self._pending += 1
-        try:
-            return self._recompile_body(netlist, base, options, key)
-        finally:
-            with self._stats_lock:
-                self._pending -= 1
-                self._counters["settled"] += 1
-
-    def _recompile_body(
-        self,
-        netlist: Netlist,
-        base: ServiceResult | PnrResult,
-        options: CompileOptions,
-        key: tuple,
-    ) -> ServiceResult:
-        """:meth:`recompile` body, inside its accounting bracket."""
-
-        def cached_view(entry: _CacheEntry, *, from_store: bool):
-            in_w, out_w = _remap_ports(
-                entry, tuple(netlist.inputs), tuple(netlist.outputs)
-            )
-            return ServiceResult(
-                key=key,
-                result=entry.result,
-                input_wires=in_w,
-                output_wires=out_w,
-                cached=True,
-                coalesced=False,
-                incremental=entry.incremental,
-                repaired=entry.repaired,
-                from_store=from_store,
-                degraded=entry.degraded,
-            )
-
-        entry = self.cache.get(key)
-        if entry is not None:
-            return cached_view(entry, from_store=False)
-        # recompile() is a blocking API, so the store probe runs right
-        # here — an edit some sibling service already compiled (or a
-        # replayed session step) never pays the delta path again.
-        entry = self._store_get(key)
-        if entry is not None:
-            return cached_view(entry, from_store=True)
+        token = key[0][:12]
         base_result = base.result if isinstance(base, ServiceResult) else base
-        try:
-            with deadline_scope(options.deadline):
+
+        def delta() -> _CacheEntry:
+            try:
                 result = compile_incremental(
                     netlist,
                     base_result,
                     target_period=options.target_period,
                     seed=options.seed,
-                    **self._delta_kwargs,
                 )
-        except CompileTimeout:
-            self._bump("timeouts")
-            raise
-        except IncrementalFallback:
-            self._bump("incremental_fallbacks")
-            return self.compile(netlist, options)
-        self._bump("incremental_compiles")
-        entry = _CacheEntry(
-            result=result,
-            input_ports=tuple(netlist.inputs),
-            output_ports=tuple(netlist.outputs),
-            incremental=True,
-        )
-        self.cache.put(key, entry)
-        self._store_put(key, entry)
-        return ServiceResult(
-            key=key,
-            result=result,
-            input_wires=dict(result.input_wires),
-            output_wires=dict(result.output_wires),
-            cached=False,
-            coalesced=False,
-            incremental=True,
-        )
+            except IncrementalFallback:
+                self._bump("incremental_fallbacks")
+                return self._compile_cold(netlist, options, token=token)
+            self._bump("incremental_compiles")
+            return _CacheEntry(
+                result=result,
+                input_ports=tuple(netlist.inputs),
+                output_ports=tuple(netlist.outputs),
+                incremental=True,
+            )
+
+        return self._serve(key, netlist, options, token, delta).result()
 
     def open_session(
         self, netlist: Netlist, options: CompileOptions | None = None

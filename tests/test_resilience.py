@@ -345,6 +345,20 @@ def test_service_close_settles_inflight_and_refuses_new_jobs():
     svc.close()  # idempotent
 
 
+def test_close_drains_a_die_job_through_its_golden_stage():
+    # The die job obtains its golden and repairs in later pool stages;
+    # close() must let those run, not refuse them as new submissions.
+    nl = ripple_carry_netlist(2)
+    die = sample_defect_map(13, 13, cell_fail=0.01, wire_fail=0.004, seed=9)
+    svc = CompileService(workers=2)
+    future = svc.submit_for_die(nl, die)
+    svc.close()
+    assert future.done()
+    assert future.result(timeout=0).repaired
+    stats = svc.stats()
+    assert stats["submissions"] == stats["settled"] == 2
+
+
 # ---------------------------------------------------------------------------
 # Crash-isolated workers: resubmit exactly once, byte-identically
 # ---------------------------------------------------------------------------
@@ -462,6 +476,19 @@ def test_cache_hits_are_never_shed():
         hit = svc.compile(nl)
         assert hit.cached
     assert svc.stats()["shed"] == 0
+
+
+def test_an_admitted_die_is_not_shed_on_its_own_golden():
+    # The tightest bound: the die itself fills the queue, so its golden
+    # submission must not be checked against admission again.
+    nl = ripple_carry_netlist(2)
+    die = sample_defect_map(13, 13, cell_fail=0.01, wire_fail=0.004, seed=9)
+    with CompileService(workers=2, max_pending=1) as svc:
+        served = svc.submit_for_die(nl, die).result(timeout=30)
+        stats = svc.stats()
+    assert served.repaired
+    assert stats["shed"] == 0
+    assert stats["compiles"] == 1
 
 
 def test_exhausted_die_repair_degrades_to_marked_golden():

@@ -5,7 +5,8 @@ mechanism against a hand-picked fault.  This suite closes the loop the
 way ISSUE 10 demands: hypothesis draws arbitrary :class:`FaultPlan`\\ s
 — any registered point, any kind, several densities and rates — and a
 fresh service (two workers, bounded queue, on-disk store) runs a small
-mixed workload under each.  Whatever the plan, four invariants hold:
+mixed workload under each: plain compiles, a die and an incremental
+recompile.  Whatever the plan, four invariants hold:
 
 1. **Every future settles exactly once** — result or a known-taxonomy
    exception, never a hang (the ``settled`` book would double-count a
@@ -24,6 +25,7 @@ mixed workload under each.  Whatever the plan, four invariants hold:
 
 import shutil
 import tempfile
+from concurrent.futures import Future
 
 import pytest
 
@@ -32,6 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datapath.adder import ripple_carry_netlist
+from repro.netlist import Netlist
 from repro.pnr import compile_to_fabric, sample_defect_map
 from repro.pnr.parallel import (
     FAULT_POINTS,
@@ -53,12 +56,34 @@ RCA2 = ripple_carry_netlist(2)
 RCA3 = ripple_carry_netlist(3)
 DIE = sample_defect_map(13, 13, cell_fail=0.01, wire_fail=0.004, seed=9)
 
-GOLDEN2 = [compile_to_fabric(RCA2, **_KW).to_bitstream().tobytes()]
+_GOLDEN2_RESULT = compile_to_fabric(RCA2, **_KW)
+GOLDEN2 = [_GOLDEN2_RESULT.to_bitstream().tobytes()]
 GOLDEN3 = [compile_to_fabric(RCA3, **_KW).to_bitstream().tobytes()]
 #: The die compiled cold with the defect map (the repair-declined path).
 COLD_DIE = [
     compile_to_fabric(RCA2, defect_map=DIE, **_KW).to_bitstream().tobytes()
 ]
+
+
+def _flip_first_and(nl):
+    """and->or on the first and-gate: a one-gate edit, same ports."""
+    flip = next(c for c in nl.cells if c.kind == "and").name
+    out = Netlist(nl.name)
+    for p in nl.inputs:
+        out.add_input(p)
+    for p in nl.outputs:
+        out.add_output(p)
+    for c in nl.cells:
+        kind = "or" if c.name == flip else c.kind
+        out.add(kind, c.name, list(c.inputs), c.output,
+                delay=c.delay, **dict(c.params))
+    return out
+
+
+#: A one-gate edit of RCA2, recompiled against the golden artifact.
+EDIT2 = _flip_first_and(RCA2)
+#: The edit compiled cold (the delta-declined path).
+COLD_EDIT2 = [compile_to_fabric(EDIT2, **_KW).to_bitstream().tobytes()]
 
 with CompileService(workers=0) as _ref_svc:
     _ref_svc.compile(RCA2)
@@ -66,8 +91,13 @@ with CompileService(workers=0) as _ref_svc:
     assert _ref.repaired, "seed-9 die must be repairable fault-free"
     #: The die served through the warm repair path.
     REPAIRED_DIE = _ref.bitstreams()
+    _ref_edit = _ref_svc.recompile(EDIT2, _GOLDEN2_RESULT)
+    assert _ref_edit.incremental, "a one-gate edit must take the delta"
+    #: The edit served through the incremental path.
+    INCREMENTAL_EDIT2 = _ref_edit.bitstreams()
     _H2 = _ref_svc.job_key(RCA2, CompileOptions())[0]
     _H3 = _ref_svc.job_key(RCA3, CompileOptions())[0]
+    _HE = _ref_svc.job_key(EDIT2, CompileOptions())[0]
 
 GOLDEN_BY_HASH = {_H2: GOLDEN2, _H3: GOLDEN3}
 
@@ -90,7 +120,19 @@ def expected_bytes(key, entry):
     """The unique fault-free reference for one cache/store entry."""
     if len(key) == 3 and key[2][0] == "die":
         return REPAIRED_DIE if entry.repaired else COLD_DIE
+    if key[0] == _HE:
+        return INCREMENTAL_EDIT2 if entry.incremental else COLD_EDIT2
     return GOLDEN_BY_HASH[key[0]]
+
+
+def settled(call):
+    """A blocking call's outcome as a settled future, for the audit."""
+    out = Future()
+    try:
+        out.set_result(call())
+    except KNOWN_EXCEPTIONS as e:
+        out.set_exception(e)
+    return out
 
 
 # -- the plan strategy ------------------------------------------------------
@@ -123,6 +165,11 @@ def test_any_fault_plan_preserves_the_service_invariants(plan):
     try:
         with plan.activate():
             for label, job in (
+                # Blocking, so it runs first: done before the queue
+                # fills, it leaves the other jobs' admission unchanged.
+                ("edit", lambda: settled(
+                    lambda: svc.recompile(EDIT2, _GOLDEN2_RESULT)
+                )),
                 ("plain2", lambda: svc.submit(RCA2)),
                 ("plain3", lambda: svc.submit(RCA3)),
                 ("die", lambda: svc.submit_for_die(RCA2, DIE)),
@@ -168,6 +215,11 @@ def test_any_fault_plan_preserves_the_service_invariants(plan):
             elif label == "plain3":
                 assert not out.degraded
                 assert out.bitstreams() == GOLDEN3
+            elif label == "edit":
+                assert not out.degraded and not out.repaired
+                assert out.bitstreams() == (
+                    INCREMENTAL_EDIT2 if out.incremental else COLD_EDIT2
+                )
             elif out.degraded:
                 assert not out.repaired
                 assert out.bitstreams() == GOLDEN2, "stand-in is the golden"

@@ -23,7 +23,12 @@ from repro.datapath.multiplier import array_multiplier_netlist
 from repro.netlist import Netlist
 from repro.pnr import compile_to_fabric
 from repro.pnr.parallel import TaskPool
-from repro.service import CompileOptions, CompileService, ResultCache
+from repro.service import (
+    CompileOptions,
+    CompileService,
+    FaultPlan,
+    ResultCache,
+)
 
 
 def cold_bytes(netlist, options=None):
@@ -353,3 +358,55 @@ def test_service_recompile_delta_and_fallback_accounting():
     assert other.bitstreams() == cold_bytes(array_multiplier_netlist(2))
     assert stats["incremental_compiles"] == 1
     assert stats["incremental_fallbacks"] == 1
+
+
+def _flip_first_and(nl: Netlist) -> Netlist:
+    """and->or on the first and-gate: a one-gate edit, same ports."""
+    flip = next(c for c in nl.cells if c.kind == "and").name
+    out = Netlist(nl.name)
+    for p in nl.inputs:
+        out.add_input(p)
+    for p in nl.outputs:
+        out.add_output(p)
+    for c in nl.cells:
+        kind = "or" if c.name == flip else c.kind
+        out.add(kind, c.name, list(c.inputs), c.output,
+                delay=c.delay, **dict(c.params))
+    return out
+
+
+def test_concurrent_recompiles_of_one_edit_run_one_delta():
+    edited = _flip_first_and(ripple_carry_netlist(8))
+    # The stall keeps the first job in flight while the second caller
+    # arrives, so the race cannot resolve as a plain memory hit.
+    plan = FaultPlan.from_specs([("service.run", "stall", {"delay": 0.3})])
+    results = [None, None]
+    with CompileService(workers=2) as svc:
+        base = svc.compile(ripple_carry_netlist(8))
+        barrier = threading.Barrier(2)
+
+        def client(i):
+            barrier.wait()
+            results[i] = svc.recompile(edited, base)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in (0, 1)]
+        with plan.activate():
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        stats = svc.stats()
+    assert stats["incremental_compiles"] == 1
+    assert stats["coalesced"] == 1
+    assert results[0].bitstreams() == results[1].bitstreams()
+    assert sorted(r.coalesced for r in results) == [False, True]
+    assert all(r.incremental for r in results)
+
+
+def test_service_exposes_no_delta_budget_knobs():
+    # Delta budgets change incremental artifacts but are not part of
+    # the cache key, so the service leaves them at compile_incremental's
+    # defaults instead of letting two services disagree under one key.
+    for knob in ("max_delta_frac", "release_budget_frac"):
+        with pytest.raises(TypeError):
+            CompileService(workers=0, **{knob: 0.5})

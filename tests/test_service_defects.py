@@ -25,6 +25,7 @@ import time
 import pytest
 
 from repro.datapath.adder import ripple_carry_netlist
+from repro.datapath.multiplier import array_multiplier_netlist
 from repro.pnr import (
     DefectMap,
     PnrError,
@@ -273,3 +274,50 @@ def test_golden_compile_failure_propagates_through_the_die_path():
         stats = svc.stats()
     assert stats["repairs"] == 0
     assert stats["cache"]["size"] == 0
+
+
+def test_producers_needing_another_artifact_never_block_the_pool():
+    """Two dies and two fallback recompiles on a two-worker pool.
+
+    No golden exists yet, so each die job needs another job's artifact
+    while the recompiles occupy the pool too.  A job that held its pool
+    slot while waiting for the golden could deadlock here; instead every
+    future settles, and the golden compiles exactly once.
+    """
+    base_nl = ripple_carry_netlist(2)
+    # Both edits change the port list against the rca2 base: fallbacks.
+    edits = [array_multiplier_netlist(2), ripple_carry_netlist(3)]
+    outcomes = {}
+    svc = CompileService(workers=2)
+    base = svc.compile(base_nl)
+    barrier = threading.Barrier(4)
+
+    def die(i):
+        barrier.wait()
+        future = svc.submit_for_die(ripple_carry_netlist(8), stress_die(i))
+        outcomes["die", i] = future.result(timeout=120)
+
+    def edit(i):
+        barrier.wait()
+        outcomes["edit", i] = svc.recompile(edits[i], base)
+
+    threads = [
+        threading.Thread(target=fn, args=(i,))
+        for fn in (die, edit) for i in (0, 1)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads), "a job never settled"
+    svc.close()
+    stats = svc.stats()
+    assert sorted(outcomes) == [("die", 0), ("die", 1), ("edit", 0),
+                                ("edit", 1)]
+    assert all(outcomes["die", i].repaired for i in (0, 1))
+    assert not any(outcomes["edit", i].incremental for i in (0, 1))
+    assert stats["incremental_fallbacks"] == 2
+    assert stats["repairs"] == 2 and stats["repair_fallbacks"] == 0
+    # base + the one golden + the two fallbacks' cold compiles
+    assert stats["compiles"] == 4
+    assert stats["submissions"] == stats["settled"] == 1 + 2 * 2 + 2

@@ -19,11 +19,13 @@ The acceptance pins, stated as tests:
   of a mid-chain netlist gets that step's exact bytes.
 """
 
+import threading
 import time
 
 import pytest
 
 from repro.datapath.adder import ripple_carry_netlist
+from repro.datapath.multiplier import array_multiplier_netlist
 from repro.netlist import Netlist
 from repro.pnr import compile_to_fabric
 from repro.service import CompileService, EditSession
@@ -205,3 +207,37 @@ def test_reopening_a_session_on_a_cached_base_is_free():
         session = svc.open_session(BASE)  # base is a cache hit now
         assert session.base.cached
         assert svc.stats()["compiles"] == 1
+
+
+def test_concurrent_sessions_attribute_fallbacks_to_their_own_steps():
+    """Two sessions on one service: each step's provenance is its own.
+
+    One session's edit falls back (a different design against the rca8
+    base) while the other's one-gate flip goes incremental.  Whatever
+    the interleaving, every step carries exactly one provenance flag
+    and the steps' fallbacks add up to the service's counter.
+    """
+    edits = [array_multiplier_netlist(2), _flip(BASE, {_AND_GATES[0]})]
+    for _ in range(5):
+        with CompileService(workers=2) as svc:
+            sessions = [svc.open_session(BASE), svc.open_session(BASE)]
+            barrier = threading.Barrier(2)
+
+            def client(i, sessions=sessions, barrier=barrier):
+                barrier.wait()
+                sessions[i].apply(edits[i])
+
+            threads = [
+                threading.Thread(target=client, args=(i,)) for i in (0, 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            stats = svc.stats()
+        steps = [step for s in sessions for step in s.steps]
+        assert len(steps) == 2
+        for step in steps:
+            assert step.incremental + step.fallback + step.cached == 1, step
+        assert sum(s.fallback for s in steps) == stats["incremental_fallbacks"]
+        assert [s.steps[0].fallback for s in sessions] == [True, False]
