@@ -79,7 +79,7 @@ def profile_design(netlist, seed: int = 0) -> dict:
 
     router = Router(
         design, placement, (array.n_rows, array.n_cols), region,
-        rng=rng, array=array,
+        array=array,
     )
     t0 = time.perf_counter()
     routes = router.route_design(strict=True)

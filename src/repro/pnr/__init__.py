@@ -18,8 +18,7 @@ components can be used interchangeably for logic and interconnection"
    ``docs/performance.md``);
 4. **timing** (:mod:`repro.pnr.timing`): static timing analysis over
    the routed design — worst slack, critical path, achievable cycle
-   time — whose criticality weights drive the optional timing-driven
-   place/route loop (``compile_to_fabric(..., timing_driven=True)``);
+   time and per-net criticality, reported on every result;
 5. **emit** (:mod:`repro.pnr.emit`): validated ``CellConfig`` frames on
    a :class:`repro.fabric.array.CellArray`, ready for bitstream
    serialisation and either simulation backend.
@@ -71,12 +70,10 @@ from repro.pnr.place import (
     anneal_placement,
     anneal_temperatures,
     default_anneal_steps,
-    derive_t_start,
     dominance_violations,
     gate_levels,
     hpwl,
     initial_placement,
-    weighted_hpwl,
 )
 from repro.pnr.partition import (
     Partition,
@@ -136,7 +133,6 @@ __all__ = [
     "anneal_placement",
     "anneal_temperatures",
     "default_anneal_steps",
-    "derive_t_start",
     "dominance_violations",
     "TaskPool",
     "parallel_map",
@@ -144,7 +140,6 @@ __all__ = [
     "gate_levels",
     "hpwl",
     "initial_placement",
-    "weighted_hpwl",
     "HOP_DELAY",
     "PathStep",
     "TimingReport",

@@ -925,8 +925,6 @@ def _compile_shards(
     seed: int,
     anneal_steps: int | None,
     max_attempts: int,
-    timing_driven: bool,
-    timing_weight: float,
     target_period: int | None,
     max_side: int | None,
     workers: int | None,
@@ -952,8 +950,7 @@ def _compile_shards(
         return _compile_mapped(
             sub, shard_source_netlist(sub),
             seed=seed + 101 * i, anneal_steps=anneal_steps,
-            max_attempts=max_attempts, timing_driven=timing_driven,
-            timing_weight=timing_weight, target_period=target_period,
+            max_attempts=max_attempts, target_period=target_period,
             max_side=max_side, replicas=replicas, workers=0,
         )
 
@@ -968,8 +965,6 @@ def compile_sharded(
     seed: int = 0,
     anneal_steps: int | None = None,
     max_attempts: int = 6,
-    timing_driven: bool = False,
-    timing_weight: float = 2.0,
     target_period: int | None = None,
     refine: bool = True,
     workers: int | None = None,
@@ -1021,8 +1016,7 @@ def compile_sharded(
         try:
             results = _compile_shards(
                 partition, seed=seed, anneal_steps=anneal_steps,
-                max_attempts=max_attempts, timing_driven=timing_driven,
-                timing_weight=timing_weight, target_period=target_period,
+                max_attempts=max_attempts, target_period=target_period,
                 max_side=max_side, workers=workers, replicas=replicas,
             )
         except PnrError as e:

@@ -165,24 +165,6 @@ def hpwl(design: MappedDesign, placement: Placement) -> int:
     return sum(net_hpwl(design, placement, net) for net in design.sinks_of)
 
 
-def weighted_hpwl(
-    design: MappedDesign,
-    placement: Placement,
-    net_weights: dict[str, float],
-) -> float:
-    """HPWL with per-net multipliers — the timing-driven objective.
-
-    Weights come from :func:`repro.pnr.timing.analyze_timing` criticality
-    (``1 + timing_weight * criticality`` in the flow): nets on or near
-    the critical path shrink preferentially, at the cost of slack-rich
-    nets stretching.  Unlisted nets weigh 1.0.
-    """
-    return sum(
-        net_hpwl(design, placement, net) * net_weights.get(net, 1.0)
-        for net in design.sinks_of
-    )
-
-
 def initial_placement(
     design: MappedDesign,
     region: Region,
@@ -468,16 +450,10 @@ class IncrementalHpwl:
     Gate positions live in numpy int32 arrays (``rows`` / ``cols``,
     indexed by ``index[name]``); :meth:`propose` prices a move without
     committing, :meth:`commit` applies it, and :attr:`total` always
-    equals :func:`weighted_hpwl` of the current state (``hpwl`` when no
-    weights were given).
+    equals :func:`hpwl` of the current state.
     """
 
-    def __init__(
-        self,
-        design: MappedDesign,
-        placement: Placement,
-        net_weights: dict[str, float] | None = None,
-    ) -> None:
+    def __init__(self, design: MappedDesign, placement: Placement) -> None:
         self.design = design
         names = list(design.gates)
         self.names = names
@@ -495,7 +471,6 @@ class IncrementalHpwl:
         # One pin list per net: (gate index, column offset) — the output
         # pin sits on the gate's east cell, sinks on its input cell.
         # Multiplicity is kept (a pair macro may read a net twice).
-        weights = net_weights or {}
         net_names: list[str] = []
         net_id: dict[str, int] = {}
         pins: list[list[tuple[int, int]]] = []
@@ -518,7 +493,6 @@ class IncrementalHpwl:
                     pins[k].append((gi, 0))
         self.net_names = net_names
         self.net_pins = pins
-        self.weight = [float(weights.get(nm, 1.0)) for nm in net_names]
 
         # Per-gate incident pin occurrences, grouped by net.
         by_gate: list[dict[int, list[int]]] = [{} for _ in range(n)]
@@ -533,7 +507,7 @@ class IncrementalHpwl:
         # (rmin, rmax, cmin, cmax, nrmin, nrmax, ncmin, ncmax).  A 2-D
         # numpy array rather than a list of tuples so the batched
         # evaluator can gather every candidate's incident boxes in one
-        # fancy-index; the scalar path reads rows back as python ints
+        # fancy-index; :meth:`propose` reads rows back as python ints
         # through :meth:`_box`.
         m = len(net_names)
         self._boxes = np.zeros((m, 8), dtype=np.int64)
@@ -541,7 +515,7 @@ class IncrementalHpwl:
         for k in range(m):
             box = self._scan(k, -1, 0, 0)
             self._boxes[k] = box
-            self.total += self.weight[k] * ((box[1] - box[0]) + (box[3] - box[2]))
+            self.total += (box[1] - box[0]) + (box[3] - box[2])
 
     # -- internals -------------------------------------------------------
     def _box(self, k: int) -> list[int]:
@@ -626,7 +600,7 @@ class IncrementalHpwl:
     def propose(
         self, gi: int, new_r: int, new_c: int
     ) -> tuple[float, list[tuple[int, tuple]]]:
-        """Exact weighted-HPWL delta of moving gate ``gi``; commits nothing.
+        """Exact HPWL delta of moving gate ``gi``; commits nothing.
 
         Returns ``(delta, updates)``; pass ``updates`` to :meth:`commit`
         to apply the move.
@@ -634,15 +608,13 @@ class IncrementalHpwl:
         old_r, old_c = int(self.rows[gi]), int(self.cols[gi])
         delta = 0.0
         updates: list[tuple[int, tuple]] = []
-        weight = self.weight
         for k, offs in self.gate_nets[gi]:
             old = self._box(k)
             new = self._bbox_after(k, gi, offs, old_r, old_c, new_r, new_c)
             d = ((new[1] - new[0]) + (new[3] - new[2])) - (
                 (old[1] - old[0]) + (old[3] - old[2])
             )
-            if d:
-                delta += weight[k] * d
+            delta += d
             updates.append((k, new))
         return delta, updates
 
@@ -670,7 +642,7 @@ class BatchEval:
     """A priced batch of candidate moves, ready to commit selectively.
 
     Produced by :meth:`BatchMoveEvaluator.propose_batch`.  ``deltas[j]``
-    is the exact weighted-HPWL delta of candidate ``j`` against the
+    is the exact HPWL delta of candidate ``j`` against the
     state the batch was priced on; :meth:`nets_of` lists the nets that
     pricing read, which is what conflict screening needs: a candidate
     stays commit-safe for as long as none of those nets has been
@@ -738,7 +710,6 @@ class BatchMoveEvaluator:
         self.ent_net = np.asarray(ent_net, dtype=np.int64)
         self.ent_off = np.asarray(ent_off, dtype=np.int64)
         self.slow_gate = slow
-        self.net_weight = np.asarray(cost.weight, dtype=np.float64)
         self.net_npins = np.asarray(
             [len(p) for p in cost.net_pins], dtype=np.int64
         )
@@ -876,8 +847,7 @@ class BatchMoveEvaluator:
         span_delta = ((n_rmax - n_rmin) + (n_cmax - n_cmin)) - (
             (rmax - rmin) + (cmax - cmin)
         )
-        d_e = self.net_weight[ks] * span_delta
-        deltas = np.bincount(reps, weights=d_e, minlength=kk)
+        deltas = np.bincount(reps, weights=span_delta, minlength=kk)
 
         new_boxes = np.empty((total, 8), dtype=np.int64)
         for col, arr in enumerate(
@@ -943,7 +913,7 @@ def anneal_temperatures(
 #: :data:`MIN_ANNEAL_RUNGS` when ``steps`` is defaulted); larger
 #: batches amortize the numpy pass better but drift further from
 #: move-by-move annealing.  768 with the 64-rung floor prices ~5x the
-#: scalar move budget in ~2/3 the wall-clock on rca8.
+#: :func:`default_anneal_steps` budget on rca8.
 DEFAULT_BATCH_MOVES = 768
 
 #: Minimum temperature rungs for a default-budget batched anneal.  A
@@ -955,20 +925,19 @@ DEFAULT_BATCH_MOVES = 768
 MIN_ANNEAL_RUNGS = 96
 
 #: Cap on how far a default budget is boosted over
-#: :func:`default_anneal_steps`.  Batched moves are ~6x cheaper than
-#: scalar ones, so pricing up to 8x the scalar budget still compiles
-#: faster; the boost scales with design size (one x per
-#: :data:`GATES_PER_BOOST` gates) because dense designs keep improving
-#: with extra moves while a few-dozen-gate shard converges within its
-#: scalar budget — measurably, 8x budget on an rca16 shard buys
-#: nothing, on rca8 it is worth ~10% wirelength.
+#: :func:`default_anneal_steps`.  Batched moves are cheap, so pricing
+#: up to 8x that budget still compiles fast; the boost scales with
+#: design size (one x per :data:`GATES_PER_BOOST` gates) because dense
+#: designs keep improving with extra moves while a few-dozen-gate shard
+#: converges within the base budget — measurably, 8x budget on an
+#: rca16 shard buys nothing, on rca8 it is worth ~10% wirelength.
 MAX_BUDGET_BOOST = 8
 
 #: Gates per unit of default-budget boost (see :data:`MAX_BUDGET_BOOST`).
 GATES_PER_BOOST = 15
 
 #: Smallest batch the default path shrinks to.  Below this the numpy
-#: pass stops amortizing and the scalar loop would be as fast.
+#: pass stops amortizing.
 MIN_BATCH_MOVES = 64
 
 #: Ratio between adjacent fleet replicas' temperature ladders.  Both
@@ -1001,12 +970,11 @@ class _AnnealContext:
         self,
         design: MappedDesign,
         placement: Placement,
-        net_weights: dict[str, float] | None = None,
         blocked: frozenset[tuple[int, int]] | None = None,
     ) -> None:
         region = placement.region
         self.region = region
-        self.cost = IncrementalHpwl(design, placement, net_weights)
+        self.cost = IncrementalHpwl(design, placement)
         cost = self.cost
         names = cost.names
         rows, cols, widths = cost.rows, cost.cols, cost.widths
@@ -1214,34 +1182,6 @@ class _AnnealContext:
             "batches": len(temps),
         }
 
-    def derive_t_start(
-        self, accept_target: float, samples: int, seed: int
-    ) -> float:
-        """A ``t_start`` matching an acceptance target on this landscape.
-
-        Prices ``samples`` random in-window moves against the current
-        state (committing nothing) and returns the temperature at which
-        a mean-sized uphill move is accepted with ``accept_target``
-        probability: ``t = mean(uphill deltas) / ln(1 / target)``.
-        Deterministic in ``seed``; falls back to 1.0 when the sample
-        finds no uphill move (already frozen landscapes).
-        """
-        if not len(self.movable):
-            return 1.0
-        gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, 0x715A27)))
-        )
-        pick, trs, tcs, valid = self.draw(gen, samples)
-        idx = np.nonzero(valid)[0]
-        if not len(idx):
-            return 1.0
-        deltas, _ = self.evaluator.propose_batch(pick[idx], trs[idx], tcs[idx])
-        uphill = deltas[deltas > 0]
-        if not len(uphill):
-            return 1.0
-        target = min(max(accept_target, 1e-3), 0.999)
-        return float(uphill.mean() / -math.log(target))
-
     def positions(self) -> dict[str, tuple[int, int]]:
         rows, cols = self.cost.rows, self.cost.cols
         return {
@@ -1259,28 +1199,6 @@ class _AnnealContext:
         return Placement(region=self.region, positions=self.best_positions())
 
 
-def derive_t_start(
-    design: MappedDesign,
-    placement: Placement,
-    net_weights: dict[str, float] | None = None,
-    *,
-    accept_target: float = 0.5,
-    samples: int = 256,
-    seed: int = 0,
-    blocked: frozenset[tuple[int, int]] | None = None,
-) -> float:
-    """Sample-derived starting temperature for ``anneal_placement``.
-
-    See :meth:`_AnnealContext.derive_t_start`: the returned temperature
-    accepts a mean-sized uphill move with probability ``accept_target``
-    on *this* design/placement/weights landscape — which is what lets
-    the timing-driven ladder re-derive a fresh ``t_start`` per rung
-    instead of reusing a constant tuned for rung 0.
-    """
-    ctx = _AnnealContext(design, placement, net_weights, blocked=blocked)
-    return ctx.derive_t_start(accept_target, samples, seed)
-
-
 def _replica_round(payload: dict) -> dict:
     """One fleet replica advancing one exchange round (a pool task).
 
@@ -1295,8 +1213,7 @@ def _replica_round(payload: dict) -> dict:
         region=payload["region"], positions=dict(payload["positions"])
     )
     ctx = _AnnealContext(
-        payload["design"], placement, payload["net_weights"],
-        blocked=payload.get("blocked"),
+        payload["design"], placement, blocked=payload.get("blocked")
     )
     gen = np.random.Generator(np.random.PCG64())
     gen.bit_generator.state = payload["rng_state"]
@@ -1316,7 +1233,6 @@ def _replica_round(payload: dict) -> dict:
 def _temper_fleet(
     design: MappedDesign,
     placement: Placement,
-    net_weights: dict[str, float] | None,
     *,
     master: int,
     n_batches: int,
@@ -1344,7 +1260,7 @@ def _temper_fleet(
     a dedicated exchange rng.  Exchange decisions depend only on the
     round-barrier results and a seed-derived rng, never on pool
     scheduling, so results are byte-identical for any worker count.
-    The best weighted-HPWL state seen by any replica in any round wins.
+    The best HPWL state seen by any replica in any round wins.
     """
     region = placement.region
     ladders = [
@@ -1374,7 +1290,6 @@ def _temper_fleet(
                 "design": design,
                 "region": region,
                 "positions": positions[i],
-                "net_weights": net_weights,
                 "temps": ladders[i][seg[r]:seg[r + 1]],
                 "rng_state": rng_states[i],
                 "batch_moves": batch_moves,
@@ -1423,19 +1338,17 @@ def anneal_placement(
     steps: int | None = None,
     t_start: float | None = None,
     t_end: float = 0.05,
-    net_weights: dict[str, float] | None = None,
     *,
     batch_moves: int | None = None,
     replicas: int = 1,
     workers: int | None = 0,
     exchange_rounds: int = 4,
     temperature_stagger: float = DEFAULT_STAGGER,
-    t_start_accept: float | None = None,
     stats: dict | None = None,
     move_log: list | None = None,
     blocked: frozenset[tuple[int, int]] | None = None,
 ) -> Placement:
-    """Refine a legal placement by simulated annealing on (weighted) HPWL.
+    """Refine a legal placement by simulated annealing on HPWL.
 
     Moves relocate one gate inside its **dominance window** — the
     rectangle bounded below by its placed fan-ins' output cells and
@@ -1443,18 +1356,12 @@ def anneal_placement(
     legal by construction (the greedy seed is legal, and a window move
     cannot break an edge that was satisfied).  Cost deltas come from the
     cached :class:`IncrementalHpwl` bounding boxes — exact, so the
-    trajectory for a seed is identical to a full recompute; with
-    ``net_weights`` each net's half-perimeter is scaled by its weight
-    (the flow passes timing criticality here, turning the objective into
-    the weighted-HPWL trade-off of :func:`weighted_hpwl`).
+    trajectory for a seed is identical to a full recompute.
 
-    By default candidates are priced ``batch_moves`` at a time through
-    the vectorized :class:`BatchMoveEvaluator` — one temperature rung
-    per batch, Metropolis acceptance applied greedily in draw order
-    under a conflict screen (see :meth:`_AnnealContext.run_batches`).
-    ``batch_moves=0`` selects the legacy scalar loop: one
-    ``rng``-driven move per rung, the exact pre-batching trajectory,
-    kept as the debugging reference.
+    Candidates are priced ``batch_moves`` (>= 1) at a time through the
+    vectorized :class:`BatchMoveEvaluator` — one temperature rung per
+    batch, Metropolis acceptance applied greedily in draw order under a
+    conflict screen (see :meth:`_AnnealContext.run_batches`).
 
     ``replicas=N > 1`` runs a **parallel-tempering fleet**: N copies at
     staggered temperatures (ratio ``temperature_stagger`` between
@@ -1466,13 +1373,10 @@ def anneal_placement(
     byte-identical for any worker count.  ``replicas=1, workers=0`` is
     the plain single-replica path with no pool at all.
 
-    ``t_start`` defaults to ``0.5 * (rows + cols)``; passing
-    ``t_start_accept`` instead derives it from the landscape via
-    :func:`derive_t_start` (the timing-driven ladder re-derives one per
-    rung this way).  ``stats``, when given a dict, receives evaluated/
-    accepted move counts and fleet exchange counters; ``move_log``
-    (batched paths only) collects ``(gate, target, delta)`` per commit
-    for replay-style testing.
+    ``t_start`` defaults to ``0.5 * (rows + cols)``.  ``stats``, when
+    given a dict, receives evaluated/accepted move counts and fleet
+    exchange counters; ``move_log`` (single-replica only) collects
+    ``(gate, target, delta)`` per commit for replay-style testing.
     """
     region = placement.region
     names = list(design.gates)
@@ -1491,30 +1395,14 @@ def anneal_placement(
     auto_batch = batch_moves is None
     if batch_moves is None:
         batch_moves = DEFAULT_BATCH_MOVES
-    if batch_moves == 0:
-        if replicas != 1:
-            raise ValueError(
-                "the scalar path (batch_moves=0) is single-replica; "
-                "use batch_moves > 0 with replicas > 1"
-            )
-        if t_start is None:
-            t_start = 0.5 * (region.n_rows + region.n_cols)
-        return _anneal_scalar(
-            design, placement, rng, steps, t_start, t_end, net_weights,
-            stats=stats, blocked=blocked,
-        )
+    if batch_moves < 1:
+        raise ValueError("batch_moves must be >= 1")
 
     # One draw seeds every numpy generator of the batched/fleet paths,
     # so the whole anneal is a function of the caller's rng state.
     master = rng.getrandbits(64)
     if t_start is None:
-        if t_start_accept is not None:
-            t_start = derive_t_start(
-                design, placement, net_weights,
-                accept_target=t_start_accept, seed=master, blocked=blocked,
-            )
-        else:
-            t_start = 0.5 * (region.n_rows + region.n_cols)
+        t_start = 0.5 * (region.n_rows + region.n_cols)
     if default_budget:
         # Size-scaled budget boost (see MAX_BUDGET_BOOST), with the
         # batch shrunk so the cooling ladder keeps ~MIN_ANNEAL_RUNGS
@@ -1534,7 +1422,7 @@ def anneal_placement(
     else:
         n_batches = max(1, -(-steps // batch_moves))
     if replicas == 1:
-        ctx = _AnnealContext(design, placement, net_weights, blocked=blocked)
+        ctx = _AnnealContext(design, placement, blocked=blocked)
         gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((master, 0)))
         )
@@ -1545,129 +1433,10 @@ def anneal_placement(
             stats.update(workers=1, rounds=1)
         return ctx.best_placement()
     return _temper_fleet(
-        design, placement, net_weights,
+        design, placement,
         master=master, n_batches=n_batches, batch_moves=batch_moves,
         t_start=t_start, t_end=t_end, replicas=replicas, workers=workers,
         exchange_rounds=exchange_rounds, stagger=temperature_stagger,
         stats=stats, blocked=blocked,
     )
 
-
-def _anneal_scalar(
-    design: MappedDesign,
-    placement: Placement,
-    rng: random.Random,
-    steps: int,
-    t_start: float,
-    t_end: float,
-    net_weights: dict[str, float] | None,
-    stats: dict | None = None,
-    blocked: frozenset[tuple[int, int]] | None = None,
-) -> Placement:
-    """The legacy one-move-per-rung annealer (``batch_moves=0``).
-
-    Bit-for-bit the pre-batching trajectory: same ``rng`` draw
-    sequence, same windows, same accept rule — kept as the exact serial
-    debugging reference the batched path is tested against.
-    """
-    region = placement.region
-    names = list(design.gates)
-    cost = IncrementalHpwl(design, placement, net_weights)
-    rows, cols, widths = cost.rows, cost.cols, cost.widths
-    occupied = np.full(
-        (region.row + region.n_rows, region.col + region.n_cols),
-        -1, dtype=np.int32,
-    )
-    if blocked:
-        nrr, ncc = occupied.shape
-        for br, bc in blocked:
-            if 0 <= br < nrr and 0 <= bc < ncc:
-                occupied[br, bc] = -2
-    for i in range(len(names)):
-        occupied[rows[i], cols[i]:cols[i] + widths[i]] = i
-
-    # Fan-in / fan-out gate indices bounding each gate's legal window.
-    fanins: list[list[int]] = [[] for _ in names]
-    fanouts: list[list[int]] = [[] for _ in names]
-    for g in design.gates.values():
-        gi = cost.index[g.name]
-        for net in dict.fromkeys(g.inputs):
-            src = design.source_of.get(net)
-            if src is not None and src != g.name:
-                si = cost.index[src]
-                fanins[gi].append(si)
-                fanouts[si].append(gi)
-
-    row_lo, col_lo = region.row, region.col
-    row_hi = region.row + region.n_rows - 1
-    col_hi = region.col + region.n_cols - 1
-
-    best_rows = rows.copy()
-    best_cols = cols.copy()
-    best_total = cost.total
-    evaluated = accepted = 0
-    exp = math.exp
-    for temp in anneal_temperatures(steps, t_start, t_end):
-        # Cooperative cancellation, amortised: one TLS read per 256
-        # moves keeps the scalar hot loop at its measured move rate.
-        if not evaluated & 0xFF:
-            checkpoint()
-        evaluated += 1
-        name = rng.choice(names)
-        gi = cost.index[name]
-        w = int(widths[gi])
-        if w == 2:
-            # Fixed-pin pair macros stay where the seed spread them:
-            # HPWL gains from compacting them are routinely wiped out
-            # by the routing congestion their clustering causes.
-            continue
-        lo_r, lo_c = row_lo, col_lo
-        hi_r, hi_c = row_hi, col_hi - (w - 1)
-        for f in fanins[gi]:
-            fr = int(rows[f])
-            fc = int(cols[f]) + int(widths[f]) - 1
-            if fr > lo_r:
-                lo_r = fr
-            if fc > lo_c:
-                lo_c = fc
-        for f in fanouts[gi]:
-            fr = int(rows[f])
-            fc = int(cols[f]) - (w - 1)
-            if fr < hi_r:
-                hi_r = fr
-            if fc < hi_c:
-                hi_c = fc
-        if lo_r > hi_r or lo_c > hi_c:
-            continue
-        tr = rng.randint(lo_r, hi_r)
-        tc = rng.randint(lo_c, hi_c)
-        if tr == rows[gi] and tc == cols[gi]:
-            continue
-        blocked = False
-        for k in range(w):
-            o = occupied[tr, tc + k]
-            if o != -1 and o != gi:
-                blocked = True
-                break
-        if blocked:
-            continue
-        d, updates = cost.propose(gi, tr, tc)
-        if d <= 0 or rng.random() < exp(-d / max(temp, 1e-9)):
-            occupied[rows[gi], cols[gi]:cols[gi] + w] = -1
-            occupied[tr, tc:tc + w] = gi
-            cost.commit(gi, tr, tc, d, updates)
-            accepted += 1
-            if cost.total < best_total:
-                best_total = cost.total
-                best_rows = rows.copy()
-                best_cols = cols.copy()
-    if stats is not None:
-        stats.update(
-            evaluated=evaluated, accepted=accepted, batches=evaluated,
-            workers=1, rounds=1,
-        )
-    positions = {
-        name: (int(best_rows[i]), int(best_cols[i]))
-        for i, name in enumerate(names)
-    }
-    return Placement(region=region, positions=positions)

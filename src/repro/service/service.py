@@ -108,7 +108,7 @@ class CompileOptions:
     """The result-affecting knobs of a compile, as one hashable value.
 
     Mirrors the :func:`repro.pnr.compile_to_fabric` keywords that
-    change *what gets built* (seed, anneal schedule, timing mode,
+    change *what gets built* (seed, anneal schedule, timing target,
     sharding).  Pool-shape knobs (``workers``) are deliberately absent:
     by the repo's determinism contract they never change results, so
     they must not split the cache.
@@ -117,8 +117,6 @@ class CompileOptions:
     seed: int = 0
     anneal_steps: int | None = None
     max_attempts: int = 6
-    timing_driven: bool = False
-    timing_weight: float = 2.0
     target_period: int | None = None
     shards: int | None = None
     max_side: int | None = None
@@ -140,8 +138,6 @@ class CompileOptions:
             self.seed,
             self.anneal_steps,
             self.max_attempts,
-            self.timing_driven,
-            self.timing_weight,
             self.target_period,
             self.shards,
             self.max_side,
@@ -154,8 +150,6 @@ class CompileOptions:
             "seed": self.seed,
             "anneal_steps": self.anneal_steps,
             "max_attempts": self.max_attempts,
-            "timing_driven": self.timing_driven,
-            "timing_weight": self.timing_weight,
             "target_period": self.target_period,
             "shards": self.shards,
             "max_side": self.max_side,

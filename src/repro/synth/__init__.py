@@ -1,8 +1,8 @@
 """Synthesis and mapping tools for the polymorphic fabric.
 
 Truth tables, exact two-level minimisation (Quine-McCluskey/Petrick),
-hazard-free asynchronous covers, the macro library (LUTs, latches,
-flip-flops, C-elements, ECSEs, adder slices), and routing helpers.
+hazard-free asynchronous covers and the macro library (LUTs, latches,
+flip-flops, C-elements, ECSEs, adder slices).
 """
 
 from repro.synth.asyncfsm import (
@@ -39,12 +39,6 @@ from repro.synth.qm import (
     minimise,
     prime_implicants,
 )
-from repro.synth.route import (
-    grid_route,
-    route_reaches,
-    routing_cost,
-    straight_channel,
-)
 from repro.synth.truthtable import TruthTable
 
 __all__ = [
@@ -76,9 +70,5 @@ __all__ = [
     "cover_to_table",
     "minimise",
     "prime_implicants",
-    "grid_route",
-    "route_reaches",
-    "routing_cost",
-    "straight_channel",
     "TruthTable",
 ]

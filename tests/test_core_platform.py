@@ -6,7 +6,6 @@ from repro.core.platform import PolymorphicPlatform
 from repro.core.report import ExperimentReport
 from repro.sim.values import ONE
 from repro.synth.macros import complement_cell, lut_pair_from_table
-from repro.synth.route import grid_route, routing_cost, straight_channel
 from repro.synth.truthtable import TruthTable
 
 
@@ -85,78 +84,6 @@ class TestPlatform:
         p.settle()
         wave = p.traces()[placed.outputs["x0"]]
         assert wave.rising_edges()
-
-
-class TestRouting:
-    def test_straight_channel(self):
-        from repro.fabric.array import CellArray, wire_name
-
-        arr = CellArray(1, 5)
-        straight_channel(arr, 0, 0, 5, lines=[2])
-        sim = arr.compile_into().sim
-        sim.drive(wire_name(0, 0, 2), ONE)
-        sim.run(until=80)
-        assert sim.value(wire_name(0, 5, 2)) == ONE
-
-    def test_channel_refuses_to_clobber(self):
-        from repro.fabric.array import CellArray
-
-        arr = CellArray(1, 3)
-        straight_channel(arr, 0, 0, 2, lines=[0])
-        with pytest.raises(ValueError, match="refusing"):
-            straight_channel(arr, 0, 1, 3, lines=[1])
-
-    def test_channel_rejects_out_of_range_lines(self):
-        from repro.fabric.array import CellArray
-
-        arr = CellArray(1, 3)
-        # A clear, early error — not a failure deep inside CellConfig.
-        with pytest.raises(ValueError, match="line index must be 0..5"):
-            straight_channel(arr, 0, 0, 2, lines=[6])
-        with pytest.raises(ValueError, match="line index must be 0..5"):
-            straight_channel(arr, 0, 0, 2, lines=[-1])
-        with pytest.raises(ValueError, match="duplicate line"):
-            straight_channel(arr, 0, 0, 2, lines=[1, 1])
-        # Nothing was configured by the failed calls.
-        assert all(arr.cell(0, c).is_blank() for c in range(3))
-
-    def test_grid_route_rejects_out_of_range_line(self):
-        from repro.fabric.array import CellArray
-
-        arr = CellArray(2, 2)
-        with pytest.raises(ValueError, match="line index must be 0..5"):
-            grid_route(arr, (0, 0), (1, 1), line=7)
-
-    def test_grid_route_l_shape(self):
-        from repro.fabric.array import CellArray, wire_name
-
-        arr = CellArray(3, 3)
-        path = grid_route(arr, (0, 0), (2, 2), line=1)
-        assert path[0] == (0, 0) and path[-1] == (2, 2)
-        sim = arr.compile_into().sim
-        sim.drive(wire_name(0, 0, 1), ONE)
-        sim.run(until=120)
-        # The destination cell's input wire carries the routed value.
-        assert sim.value(wire_name(2, 2, 1)) == ONE
-
-    def test_route_rejects_backwards(self):
-        from repro.fabric.array import CellArray
-
-        arr = CellArray(2, 2)
-        with pytest.raises(ValueError, match="east/north"):
-            grid_route(arr, (1, 1), (0, 0), line=0)
-
-    def test_route_blocked_by_logic(self):
-        from repro.fabric.array import CellArray
-
-        arr = CellArray(1, 3)
-        straight_channel(arr, 0, 1, 2, lines=[0])  # occupy the middle
-        with pytest.raises(ValueError, match="no blank"):
-            grid_route(arr, (0, 0), (0, 2), line=3)
-
-    def test_routing_cost(self):
-        cost = routing_cost([(0, 0), (0, 1), (0, 2)])
-        assert cost == {"cells": 2, "leaf_devices": 14}
 
 
 class TestExperimentReport:
