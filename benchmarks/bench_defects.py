@@ -1,14 +1,13 @@
 """Bench: defect-adaptive compilation (`repro.pnr.defects`).
 
-Records the ISSUE 8 economics: how die yield falls as the per-resource
-defect density rises (warm repair, cold-compile escalation, or die
-scrapped), and how much faster adapting the golden rca8 compile to a
-defective die is than compiling that die cold (``repair_speedup``, the
-acceptance number, required >= 5x).  ``run_all.py`` imports
-:func:`run_defect_yield_curve` and :func:`run_repair_speed` and folds
-both into ``BENCH_results.json`` under ``microbench.defects``;
-``check_regressions.py`` prints the rows (recorded, not gated — repair
-rates depend on the sampled lot, wall times on the machine).
+Records how die yield falls as the per-resource defect density rises
+(warm repair, cold-compile escalation, or die scrapped) — the paper's
+manufacturability argument, measured.  ``run_all.py`` imports
+:func:`run_defect_yield_curve` and folds it into ``BENCH_results.json``
+under ``microbench.defects``; ``check_regressions.py`` prints the rows
+(recorded, not gated — repair rates depend on the sampled lot).  Repair
+speed is measured by ``perfbench`` (the ``edit_repair`` workload) and
+its 5x floor is pinned in ``tests/test_service_defects.py``.
 """
 
 from __future__ import annotations
@@ -96,50 +95,6 @@ def run_defect_yield_curve(dies_per_density: int = DIES_PER_DENSITY) -> dict:
     return {"design": "rca8", "golden_compile_s": round(golden_s, 3), **curve}
 
 
-def run_repair_speed(n_dies: int = 12) -> dict:
-    """Warm per-die repair vs cold defect-aware compile (medians)."""
-    golden, golden_s = _golden()
-    shape = (golden.array.n_rows, golden.array.n_cols)
-    dies = [_die(shape, DENSITIES[0], seed) for seed in range(n_dies)]
-
-    def best_of(fn, n=2):
-        times = []
-        for _ in range(n):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    repair_s, cold_s = [], []
-    for dm in dies:
-        try:
-            repair_s.append(
-                best_of(lambda: repair_for_die(golden, dm, seed=0))
-            )
-        except RepairFallback:
-            continue  # rates are low; a rare fallback die just drops out
-    for dm in dies[:6]:
-        cold_s.append(
-            best_of(
-                lambda: compile_to_fabric(
-                    ripple_carry_netlist(8), defect_map=dm,
-                    seed=0, workers=0,
-                ),
-                n=1,
-            )
-        )
-    med_repair = statistics.median(repair_s)
-    med_cold = statistics.median(cold_s)
-    return {
-        "design": "rca8",
-        "dies": len(repair_s),
-        "golden_compile_s": round(golden_s, 4),
-        "median_repair_ms": round(med_repair * 1e3, 1),
-        "median_cold_ms": round(med_cold * 1e3, 1),
-        "repair_speedup": round(med_cold / med_repair, 1),
-    }
-
-
 def test_yield_curve_accounts_for_every_die(capsys):
     """Every sampled die is repaired, escalated, or scrapped — no gaps."""
     r = run_defect_yield_curve()
@@ -159,16 +114,3 @@ def test_yield_curve_accounts_for_every_die(capsys):
                 f"{row['scrapped']} scrapped; ~{row['mean_defects_per_die']} "
                 f"defects/die)"
             )
-
-
-def test_repair_meets_5x(capsys):
-    """ISSUE 8 acceptance: warm repair >= 5x over a cold die compile."""
-    r = run_repair_speed()
-    assert r["repair_speedup"] >= 5
-    with capsys.disabled():
-        print(
-            f"\n  die repair rca8: cold {r['median_cold_ms']:.1f} ms -> "
-            f"{r['median_repair_ms']:.1f} ms ({r['repair_speedup']}x, "
-            f"{r['dies']} dies from one {r['golden_compile_s']}s golden "
-            f"compile)"
-        )

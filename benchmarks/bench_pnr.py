@@ -10,14 +10,17 @@ multiplier, accumulator step), so ``BENCH_results.json`` tracks compile
 time, wirelength and cycle time against array side.  A second table
 compiles the deep designs (mul4, rca16) across multiple chiplet arrays
 with the sharded flow, recording shard count, channel cut size and the
-composed system cycle time.  `run_all.py` imports
-:func:`run_pnr_quality` and :func:`run_pnr_sharded` and folds the
-numbers into ``BENCH_results.json``.
+composed system cycle time.  A third row anneals rca8 with a
+parallel-tempering replica fleet, serially and on the process pool.
+`run_all.py` imports :func:`run_pnr_quality`, :func:`run_pnr_sharded`
+and :func:`run_pnr_fleet` and folds the numbers into
+``BENCH_results.json``.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import time
 
 from repro.datapath.accumulator import accumulator_step_netlist
@@ -135,6 +138,67 @@ def run_pnr_sharded() -> dict[str, dict]:
             "verified_vectors": 256,
         }
     return results
+
+
+def run_pnr_fleet(netlist, *, replicas: int = 4, seed: int = 0) -> dict:
+    """Parallel-tempering fleet metrics on one design.
+
+    Anneals the same seeded placement three ways — single replica, an
+    N-replica fleet on one worker, the same fleet on ``workers=None``
+    (auto pool) — and records the replica-exchange acceptance rate plus
+    the fleet's wall-clock speedup from the process pool.  The fleet is
+    byte-identical across worker counts, so the speedup row measures
+    pool efficiency only (1.0x on a single-CPU runner, by design).
+    """
+    from repro.fabric.floorplan import Region
+    from repro.pnr.flow import suggest_array
+    from repro.pnr.place import anneal_placement, initial_placement
+    from repro.pnr.techmap import map_netlist
+
+    design = map_netlist(netlist)
+    array = suggest_array(design)
+    region = Region("bench", 0, 0, array.n_rows, array.n_cols)
+    seed_placement = initial_placement(design, region, random.Random(seed))
+
+    gc.collect()
+    t0 = time.perf_counter()
+    anneal_placement(design, seed_placement, random.Random(seed))
+    t_single = time.perf_counter() - t0
+
+    stats: dict = {}
+    gc.collect()
+    t0 = time.perf_counter()
+    anneal_placement(
+        design, seed_placement, random.Random(seed),
+        replicas=replicas, workers=1, stats=stats,
+    )
+    t_serial = time.perf_counter() - t0
+
+    gc.collect()
+    t0 = time.perf_counter()
+    anneal_placement(
+        design, seed_placement, random.Random(seed),
+        replicas=replicas, workers=None,
+    )
+    t_pool = time.perf_counter() - t0
+
+    attempts = stats.get("exchange_attempts", 0)
+    return {
+        "replicas": replicas,
+        "evaluated": stats.get("evaluated", 0),
+        "exchange_attempts": attempts,
+        "exchange_accepted": stats.get("exchange_accepted", 0),
+        "exchange_accept_rate": (
+            round(stats.get("exchange_accepted", 0) / attempts, 3)
+            if attempts else None
+        ),
+        "single_replica_s": round(t_single, 4),
+        "fleet_serial_s": round(t_serial, 4),
+        "fleet_pool_s": round(t_pool, 4),
+        "fleet_pool_speedup": (
+            round(t_serial / t_pool, 2) if t_pool > 0 else None
+        ),
+    }
 
 
 # ----------------------------------------------------------------------

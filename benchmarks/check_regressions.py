@@ -50,47 +50,9 @@ METRICS: tuple[str, ...] = ("cycle_time", "wirelength")
 #: Metrics shown in the drift table but never gated (machine-dependent).
 REPORT_ONLY_METRICS: tuple[str, ...] = ("compile_s",)
 
-#: Throughput rows from ``microbench.pnr_speed`` shown (never gated) so
-#: the annealer/fleet perf trajectory is visible next to the quality
-#: gate: evaluated moves/s per design, and the replica fleet's exchange
-#: acceptance rate + process-pool speedup.  All machine-dependent.
-SPEED_REPORT_METRICS: tuple[str, ...] = ("anneal_moves_per_s",)
-FLEET_REPORT_METRICS: tuple[str, ...] = (
-    "exchange_accept_rate",
-    "fleet_pool_speedup",
-)
 
-
-def speed_table(results: dict) -> dict:
-    """The ``microbench.pnr_speed`` rows of one trajectory (may be {})."""
-    return results.get("microbench", {}).get("pnr_speed", {}) or {}
-
-
-#: Compile-service rows from ``microbench.service`` shown (never gated):
-#: throughput and latency are machine-dependent, and the hit rate is a
-#: property of the bench's job mix, not of the code under test.
-SERVICE_REPORT_METRICS: dict[str, tuple[str, ...]] = {
-    "throughput": ("speedup", "jobs_per_s", "cache_hit_rate"),
-    "incremental": ("incremental_speedup", "cold_s", "incremental_s"),
-    "store": ("disk_hit_speedup", "cold_ms", "disk_hit_ms", "memory_hit_ms"),
-    "session": ("chain_speedup", "cold_chain_s", "session_chain_s"),
-}
-
-
-def service_table(results: dict) -> dict:
-    """The ``microbench.service`` rows of one trajectory (may be {})."""
-    return results.get("microbench", {}).get("service", {}) or {}
-
-
-#: Defect-adaptive rows from ``microbench.defects`` shown (never
-#: gated): repair latency and speedup are machine-dependent, and the
-#: die yield is a property of the sampled lot, not of the code under
-#: test — ``tests/test_service_defects.py`` pins the 5x floor.
-DEFECTS_REPORT_METRICS: dict[str, tuple[str, ...]] = {
-    "repair": ("repair_speedup", "median_repair_ms", "median_cold_ms"),
-}
-
-
+#: Die yield from ``microbench.defects`` is shown, never gated: it is a
+#: property of the sampled lot, not of the code under test.
 def defects_table(results: dict) -> dict:
     """The ``microbench.defects`` rows of one trajectory (may be {})."""
     return results.get("microbench", {}).get("defects", {}) or {}
@@ -126,6 +88,20 @@ def quality_table(results: dict) -> dict:
     return (
         results.get("microbench", {}).get("pnr", {}).get("quality", {}) or {}
     )
+
+
+def drift_line(
+    label: str, metric: str, b, f, *,
+    widths: tuple[int, int] = (20, 9), gated: bool = False,
+) -> str:
+    """One ``baseline -> fresh  drift`` row of the drift table."""
+    drift = (
+        f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
+        else "n/a"
+    )
+    note = "" if gated else "  (recorded, not gated)"
+    m, v = widths
+    return f"  {label} {metric:<{m}} {b!s:>{v}} -> {f!s:>{v}}  {drift}{note}"
 
 
 def check(
@@ -199,94 +175,25 @@ def main(argv: list[str] | None = None) -> int:
           f"tolerance {args.tolerance:.0%}")
     for design in PINNED_DESIGNS:
         for metric in METRICS + REPORT_ONLY_METRICS:
-            b = base_q.get(design, {}).get(metric)
-            f = fresh_q.get(design, {}).get(metric)
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            gated = "" if metric in METRICS else "  (recorded, not gated)"
-            print(
-                f"  {design:<20} {metric:<12} {b!s:>8} -> {f!s:>8}  "
-                f"{drift}{gated}"
-            )
-    base_s, fresh_s = speed_table(baseline), speed_table(fresh)
-    for row in sorted(set(base_s) | set(fresh_s)):
-        metrics = (
-            FLEET_REPORT_METRICS if "fleet" in row else SPEED_REPORT_METRICS
-        )
-        for metric in metrics:
-            b = base_s.get(row, {}).get(metric)
-            f = fresh_s.get(row, {}).get(metric)
-            if b is None and f is None:
-                continue
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            print(
-                f"  {row:<20} {metric:<20} {b!s:>9} -> {f!s:>9}  "
-                f"{drift}  (recorded, not gated)"
-            )
-    base_svc, fresh_svc = service_table(baseline), service_table(fresh)
-    for row, svc_metrics in SERVICE_REPORT_METRICS.items():
-        for metric in svc_metrics:
-            b = base_svc.get(row, {}).get(metric)
-            f = fresh_svc.get(row, {}).get(metric)
-            if b is None and f is None:
-                continue
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            print(
-                f"  service.{row:<12} {metric:<20} {b!s:>9} -> {f!s:>9}  "
-                f"{drift}  (recorded, not gated)"
-            )
+            print(drift_line(
+                f"{design:<20}", metric,
+                base_q.get(design, {}).get(metric),
+                fresh_q.get(design, {}).get(metric),
+                widths=(12, 8), gated=metric in METRICS,
+            ))
     base_r, fresh_r = resilience_table(baseline), resilience_table(fresh)
     for row, r_metrics in RESILIENCE_REPORT_METRICS.items():
         for metric in r_metrics:
             b = base_r.get(row, {}).get(metric)
             f = fresh_r.get(row, {}).get(metric)
-            if b is None and f is None:
-                continue
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            print(
-                f"  resilience.{row:<9} {metric:<20} {b!s:>9} -> {f!s:>9}  "
-                f"{drift}  (recorded, not gated)"
-            )
-    base_d, fresh_d = defects_table(baseline), defects_table(fresh)
-    for row, d_metrics in DEFECTS_REPORT_METRICS.items():
-        for metric in d_metrics:
-            b = base_d.get(row, {}).get(metric)
-            f = fresh_d.get(row, {}).get(metric)
-            if b is None and f is None:
-                continue
-            drift = (
-                f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-                else "n/a"
-            )
-            print(
-                f"  defects.{row:<12} {metric:<20} {b!s:>9} -> {f!s:>9}  "
-                f"{drift}  (recorded, not gated)"
-            )
+            if b is not None or f is not None:
+                print(drift_line(f"resilience.{row:<9}", metric, b, f))
     base_y, fresh_y = defect_yield_rows(baseline), defect_yield_rows(fresh)
     for row in sorted(set(base_y) | set(fresh_y)):
         b = base_y.get(row, {}).get("die_yield")
         f = fresh_y.get(row, {}).get("die_yield")
-        if b is None and f is None:
-            continue
-        drift = (
-            f"{(f - b) / b:+.1%}" if b not in (None, 0) and f is not None
-            else "n/a"
-        )
-        print(
-            f"  defects.{row:<12} {'die_yield':<20} {b!s:>9} -> {f!s:>9}  "
-            f"{drift}  (recorded, not gated)"
-        )
+        if b is not None or f is not None:
+            print(drift_line(f"defects.{row:<12}", "die_yield", b, f))
     if violations:
         print("REGRESSIONS:")
         for v in violations:

@@ -132,52 +132,27 @@ def microbench_pnr() -> dict:
 
     ``quality`` is per-design (includes the scale designs: multiplier,
     accumulator step); ``sharded`` compiles mul4, rca16 and rca32 across multiple chiplet
-    arrays (shard count, channel cut, composed system cycle time).
+    arrays (shard count, channel cut, composed system cycle time);
+    ``fleet_rca8`` is the replica fleet's exchange rate and process-pool
+    speedup.
     """
     sys.path.insert(0, str(HERE))
-    from bench_pnr import run_pnr_quality, run_pnr_sharded
+    from bench_pnr import run_pnr_fleet, run_pnr_quality, run_pnr_sharded
+    from repro.datapath.adder import ripple_carry_netlist
 
     return {
         "quality": run_pnr_quality(),
         "sharded": run_pnr_sharded(),
-    }
-
-
-def microbench_pnr_speed() -> dict:
-    """Engine throughput: anneal moves/s, routed nets/s, stage seconds."""
-    sys.path.insert(0, str(HERE))
-    from profile_pnr import run_pnr_speed
-
-    return run_pnr_speed()
-
-
-def microbench_service() -> dict:
-    """Service throughput, incremental latency, store tiers, sessions."""
-    sys.path.insert(0, str(HERE))
-    from bench_service import (
-        run_service_incremental,
-        run_service_session,
-        run_service_store,
-        run_service_throughput,
-    )
-
-    return {
-        "throughput": run_service_throughput(),
-        "incremental": run_service_incremental(),
-        "store": run_service_store(),
-        "session": run_service_session(),
+        "fleet_rca8": run_pnr_fleet(ripple_carry_netlist(8)),
     }
 
 
 def microbench_defects() -> dict:
-    """Die yield vs defect density, and warm-repair vs cold latency."""
+    """Die yield vs defect density."""
     sys.path.insert(0, str(HERE))
-    from bench_defects import run_defect_yield_curve, run_repair_speed
+    from bench_defects import run_defect_yield_curve
 
-    return {
-        "yield_curve": run_defect_yield_curve(),
-        "repair": run_repair_speed(),
-    }
+    return {"yield_curve": run_defect_yield_curve()}
 
 
 def microbench_resilience() -> dict:
@@ -207,8 +182,6 @@ def main() -> int:
         "batch_sim": microbench_batch_throughput(),
         "mc_yield": microbench_mc_yield(),
         "pnr": microbench_pnr(),
-        "pnr_speed": microbench_pnr_speed(),
-        "service": microbench_service(),
         "defects": microbench_defects(),
         "resilience": microbench_resilience(),
     }
@@ -232,33 +205,13 @@ def main() -> int:
         f"{mul4['max_side']}), {mul4['cut_nets']} cut nets, cycle "
         f"{mul4['cycle_time']}, compiled in {mul4['compile_s']}s"
     )
-    speed8 = micro["pnr_speed"]["rca8"]
-    print(
-        f"  PnR engine      : {speed8['anneal_moves_per_s']:>12,} anneal moves/s, "
-        f"{speed8['routed_nets_per_s']:,} routed nets/s (rca8)"
-    )
-    svc = micro["service"]
-    print(
-        f"  compile service : {svc['throughput']['jobs']} jobs -> "
-        f"{svc['throughput']['distinct']} compiles "
-        f"({svc['throughput']['speedup']}x over serial cold), incremental "
-        f"rca8 edit {svc['incremental']['incremental_speedup']}x faster"
-    )
-    print(
-        f"  artifact store  : disk hit {svc['store']['disk_hit_ms']} ms "
-        f"({svc['store']['disk_hit_speedup']}x over cold), memory hit "
-        f"{svc['store']['memory_hit_ms']} ms; 5-edit session chain "
-        f"{svc['session']['chain_speedup']}x over cold"
-    )
     from bench_defects import DENSITIES
 
-    rep = micro["defects"]["repair"]
     lightest = micro["defects"]["yield_curve"][f"cell_fail_{DENSITIES[0]}"]
     print(
-        f"  die repair      : {rep['dies']} dies from one golden rca8 "
-        f"compile, {rep['median_repair_ms']} ms median repair "
-        f"({rep['repair_speedup']}x over cold), die yield "
-        f"{lightest['die_yield']} at the lightest density"
+        f"  die yield       : {lightest['die_yield']} at the lightest "
+        f"density ({lightest['repaired']} of {lightest['dies']} dies "
+        f"repaired from one golden rca8 compile)"
     )
     res = micro["resilience"]
     print(

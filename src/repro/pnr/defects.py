@@ -48,11 +48,7 @@ from repro.fabric.array import CellArray
 from repro.fabric.nandcell import N_INPUTS, N_ROWS
 from repro.pnr.emit import emit_design
 from repro.pnr.flow import PnrError, PnrResult, _build_result
-from repro.pnr.incremental import (
-    DEFAULT_RELEASE_BUDGET_FRAC,
-    IncrementalFallback,
-    ripple_release_placement,
-)
+from repro.pnr.incremental import IncrementalFallback, ripple_release_placement
 from repro.pnr.parallel import checkpoint, fault_point
 from repro.pnr.place import PlacementError, dominance_violations
 from repro.pnr.route import PAIR_INTERNAL_ROWS, Router, RoutingError
@@ -387,7 +383,6 @@ def repair_for_die(
     *,
     target_period: int | None = None,
     seed: int = 0,
-    release_budget_frac: float = DEFAULT_RELEASE_BUDGET_FRAC,
     stats: dict | None = None,
 ) -> PnrResult:
     """Adapt a golden compile to one defective die, reusing its work.
@@ -401,11 +396,10 @@ def repair_for_die(
         This die's defects; its shape must match the golden array.
     target_period, seed:
         As in :func:`repro.pnr.flow.compile_to_fabric`; the seed feeds
-        only the displaced gates' greedy re-seed.
-    release_budget_frac:
-        Cap on the fraction of gates the dominance ripple may unfix
-        before the warm path gives up (see
-        :func:`repro.pnr.incremental.ripple_release_placement`).
+        only the displaced gates' greedy re-seed.  The dominance ripple
+        may unfix at most
+        :data:`repro.pnr.incremental.DEFAULT_RELEASE_BUDGET_FRAC` of
+        the gates before the warm path gives up.
     stats:
         Optional dict the repair fills with its reuse accounting:
         ``displaced`` / ``moved`` gate counts and the router's
@@ -463,7 +457,6 @@ def repair_for_die(
                     # slightly larger displaced set, or escalation never
                     # explores.
                     seed=seed + 7919 * wave,
-                    release_budget_frac=release_budget_frac,
                     blocked=defect_map.dead_cells,
                     pair_blocked=pair_blocked_cells(defect_map),
                 )

@@ -186,7 +186,6 @@ def ripple_release_placement(
     displaced: frozenset[str] | set[str],
     *,
     seed: int,
-    release_budget_frac: float = DEFAULT_RELEASE_BUDGET_FRAC,
     n_edits: int | None = None,
     n_base: int | None = None,
     blocked: frozenset[tuple[int, int]] | None = None,
@@ -202,8 +201,8 @@ def ripple_release_placement(
     gate with *no* dominance-legal cell between its frozen fan-ins and
     fan-outs — each release wave then unfixes the fan-out gates of
     everything released so far and retries the (cheap) greedy seed, up
-    to ``release_budget_frac`` of the design — past that, the warm
-    placement would be mostly greedy anyway, so
+    to :data:`DEFAULT_RELEASE_BUDGET_FRAC` of the design — past that,
+    the warm placement would be mostly greedy anyway, so
     :class:`IncrementalFallback` is raised and the caller compiles
     cold.  ``blocked`` / ``pair_blocked`` thread straight into
     :func:`initial_placement` (dead sites of a defect map).
@@ -222,11 +221,12 @@ def ripple_release_placement(
         # ripple waves.
         checkpoint()
         if len(released - displaced) + n_edits > max(
-            1, int(release_budget_frac * n_base)
+            1, int(DEFAULT_RELEASE_BUDGET_FRAC * n_base)
         ):
             raise IncrementalFallback(
-                f"release ripple grew past {release_budget_frac:.0%} of the "
-                f"design ({len(released)} gates)"
+                f"release ripple grew past "
+                f"{DEFAULT_RELEASE_BUDGET_FRAC:.0%} of the design "
+                f"({len(released)} gates)"
             ) from last_jam
         fixed = {
             name: base_positions[name]
@@ -260,7 +260,6 @@ def compile_incremental(
     base: PnrResult,
     *,
     max_delta_frac: float = DEFAULT_MAX_DELTA_FRAC,
-    release_budget_frac: float = DEFAULT_RELEASE_BUDGET_FRAC,
     target_period: int | None = None,
     seed: int = 0,
 ) -> PnrResult:
@@ -276,9 +275,6 @@ def compile_incremental(
         not accepted — raise-and-fallback keeps the delta path simple.
     max_delta_frac:
         Fallback threshold on :attr:`DesignDelta.frac`.
-    release_budget_frac:
-        Cap on the fraction of gates the dominance ripple may unfix
-        before the delta path gives up (see the release loop below).
     target_period, seed:
         As in :func:`repro.pnr.flow.compile_to_fabric`; the seed only
         feeds the greedy seeding's tie-break salt for the delta gates.
@@ -323,8 +319,7 @@ def compile_incremental(
     # one wave at a time up to the release budget, or falls back.
     placement = ripple_release_placement(
         design, region, base.placement.positions, delta.touched,
-        seed=seed, release_budget_frac=release_budget_frac,
-        n_edits=delta.n_edits, n_base=delta.n_base,
+        seed=seed, n_edits=delta.n_edits, n_base=delta.n_base,
     )
     if dominance_violations(design, placement):
         raise IncrementalFallback("warm placement violates dominance")

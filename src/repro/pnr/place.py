@@ -643,10 +643,12 @@ class BatchEval:
 
     Produced by :meth:`BatchMoveEvaluator.propose_batch`.  ``deltas[j]``
     is the exact HPWL delta of candidate ``j`` against the
-    state the batch was priced on; :meth:`nets_of` lists the nets that
-    pricing read, which is what conflict screening needs: a candidate
-    stays commit-safe for as long as none of those nets has been
-    touched by an earlier commit from the same batch.
+    state the batch was priced on; ``ent_net[bounds[j]:bounds[j + 1]]``
+    lists the nets that pricing read, which is what conflict screening
+    needs: a candidate stays commit-safe for as long as none of those
+    nets has been touched by an earlier commit from the same batch
+    (:meth:`_AnnealContext.run_batches` commits accepted candidates
+    under exactly that screen).
     """
 
     gis: np.ndarray
@@ -660,10 +662,6 @@ class BatchEval:
     new_boxes: np.ndarray
     #: Candidates priced through the scalar fallback: j -> propose updates.
     slow: dict[int, list]
-
-    def nets_of(self, j: int) -> np.ndarray:
-        """Net ids candidate ``j``'s pricing depends on."""
-        return self.ent_net[self.bounds[j]:self.bounds[j + 1]]
 
 
 class BatchMoveEvaluator:
@@ -866,27 +864,6 @@ class BatchMoveEvaluator:
             ent_net=ks, new_boxes=new_boxes, slow=slow,
         )
 
-    def commit(self, batch: BatchEval, j: int) -> None:
-        """Apply candidate ``j`` through the exact cache update.
-
-        Only valid while none of ``batch.nets_of(j)`` has been touched
-        since the batch was priced (the annealer's conflict screen
-        guarantees exactly that), so the precomputed boxes and delta
-        still describe the live state.
-        """
-        cost = self.cost
-        gi = int(batch.gis[j])
-        tr, tc = int(batch.trs[j]), int(batch.tcs[j])
-        ups = batch.slow.get(j)
-        if ups is not None:
-            cost.commit(gi, tr, tc, float(batch.deltas[j]), ups)
-            return
-        e0, e1 = int(batch.bounds[j]), int(batch.bounds[j + 1])
-        cost._boxes[batch.ent_net[e0:e1]] = batch.new_boxes[e0:e1]
-        cost.rows[gi] = tr
-        cost.cols[gi] = tc
-        cost.total += float(batch.deltas[j])
-
 
 def default_anneal_steps(n_gates: int) -> int:
     """The annealing budget :func:`anneal_placement` uses when unset."""
@@ -941,10 +918,14 @@ GATES_PER_BOOST = 15
 MIN_BATCH_MOVES = 64
 
 #: Ratio between adjacent fleet replicas' temperature ladders.  Both
-#: ``t_start`` and ``t_end`` scale by ``stagger**i``, so the ratio of
+#: ladder endpoints scale by ``DEFAULT_STAGGER**i``, so the ratio of
 #: adjacent replicas' temperatures is the same at every rung — the
 #: replica-exchange criterion stays meaningful through the whole cool.
 DEFAULT_STAGGER = 1.6
+
+#: Final temperature of every cooling ladder (the first rung is half
+#: the region's ``rows + cols``, see :func:`anneal_placement`).
+T_END = 0.05
 
 
 def _pad_indices(lists: list[list[int]], sentinel: int) -> np.ndarray:
@@ -1238,19 +1219,17 @@ def _temper_fleet(
     n_batches: int,
     batch_moves: int,
     t_start: float,
-    t_end: float,
     replicas: int,
     workers: int | None,
     exchange_rounds: int,
-    stagger: float,
     stats: dict | None,
     blocked: frozenset[tuple[int, int]] | None = None,
 ) -> Placement:
     """Parallel-tempering over ``replicas`` staggered-temperature copies.
 
     Replica ``i`` cools through its own geometric ladder scaled by
-    ``stagger**i`` (both endpoints, so adjacent replicas keep a constant
-    temperature ratio at every rung).  The ladders are cut into
+    ``DEFAULT_STAGGER**i`` (both endpoints, so adjacent replicas keep a
+    constant temperature ratio at every rung).  The ladders are cut into
     ``exchange_rounds`` synchronized rounds; each round every replica
     advances independently (fanned onto a process pool via
     :func:`repro.pnr.parallel.parallel_map`), then adjacent pairs —
@@ -1265,7 +1244,9 @@ def _temper_fleet(
     region = placement.region
     ladders = [
         anneal_temperatures(
-            n_batches, t_start * stagger**i, t_end * stagger**i
+            n_batches,
+            t_start * DEFAULT_STAGGER**i,
+            T_END * DEFAULT_STAGGER**i,
         )
         for i in range(replicas)
     ]
@@ -1336,14 +1317,11 @@ def anneal_placement(
     placement: Placement,
     rng: random.Random,
     steps: int | None = None,
-    t_start: float | None = None,
-    t_end: float = 0.05,
     *,
     batch_moves: int | None = None,
     replicas: int = 1,
     workers: int | None = 0,
     exchange_rounds: int = 4,
-    temperature_stagger: float = DEFAULT_STAGGER,
     stats: dict | None = None,
     move_log: list | None = None,
     blocked: frozenset[tuple[int, int]] | None = None,
@@ -1364,7 +1342,7 @@ def anneal_placement(
     conflict screen (see :meth:`_AnnealContext.run_batches`).
 
     ``replicas=N > 1`` runs a **parallel-tempering fleet**: N copies at
-    staggered temperatures (ratio ``temperature_stagger`` between
+    staggered temperatures (ratio :data:`DEFAULT_STAGGER` between
     neighbours), synchronized at ``exchange_rounds`` round barriers
     where adjacent-temperature pairs may swap placements under the
     Metropolis exchange criterion; ``workers`` sizes the process pool
@@ -1373,7 +1351,8 @@ def anneal_placement(
     byte-identical for any worker count.  ``replicas=1, workers=0`` is
     the plain single-replica path with no pool at all.
 
-    ``t_start`` defaults to ``0.5 * (rows + cols)``.  ``stats``, when
+    The ladder cools geometrically from ``0.5 * (rows + cols)`` of the
+    region down to :data:`T_END`.  ``stats``, when
     given a dict, receives evaluated/accepted move counts and fleet
     exchange counters; ``move_log`` (single-replica only) collects
     ``(gate, target, delta)`` per commit for replay-style testing.
@@ -1401,8 +1380,7 @@ def anneal_placement(
     # One draw seeds every numpy generator of the batched/fleet paths,
     # so the whole anneal is a function of the caller's rng state.
     master = rng.getrandbits(64)
-    if t_start is None:
-        t_start = 0.5 * (region.n_rows + region.n_cols)
+    t_start = 0.5 * (region.n_rows + region.n_cols)
     if default_budget:
         # Size-scaled budget boost (see MAX_BUDGET_BOOST), with the
         # batch shrunk so the cooling ladder keeps ~MIN_ANNEAL_RUNGS
@@ -1426,7 +1404,7 @@ def anneal_placement(
         gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((master, 0)))
         )
-        temps = anneal_temperatures(n_batches, t_start, t_end)
+        temps = anneal_temperatures(n_batches, t_start, T_END)
         counters = ctx.run_batches(temps, gen, batch_moves, move_log=move_log)
         if stats is not None:
             stats.update(counters)
@@ -1435,8 +1413,7 @@ def anneal_placement(
     return _temper_fleet(
         design, placement,
         master=master, n_batches=n_batches, batch_moves=batch_moves,
-        t_start=t_start, t_end=t_end, replicas=replicas, workers=workers,
-        exchange_rounds=exchange_rounds, stagger=temperature_stagger,
-        stats=stats, blocked=blocked,
+        t_start=t_start, replicas=replicas, workers=workers,
+        exchange_rounds=exchange_rounds, stats=stats, blocked=blocked,
     )
 

@@ -374,6 +374,8 @@ class Router:
     SHARE_COST = 1.5
     #: Cost of burning a fresh blank cell as a feed-through.
     FRESH_COST = 2.0
+    #: Rip-up-and-reroute passes before :meth:`route_design` gives up.
+    MAX_PASSES = 6
 
     def __init__(
         self,
@@ -381,7 +383,6 @@ class Router:
         placement: Placement,
         shape: tuple[int, int],
         region: Region,
-        max_passes: int = 6,
         array=None,
         warm_routes: dict[str, NetRoute] | None = None,
         warm_moved: set[str] | None = None,
@@ -395,7 +396,6 @@ class Router:
         #: into every :class:`RoutingState` this router builds, so the
         #: rip-up rebuilds keep the same blocked resources.
         self.defects = defects
-        self.max_passes = max_passes
         self.array = array
         self.state = RoutingState(
             design, placement, shape, region, array=array, defects=defects
@@ -475,7 +475,7 @@ class Router:
         """
         nets = sorted(self.routable_nets(), key=self._net_span)
         failed: list[str] = []
-        for attempt in range(self.max_passes):
+        for attempt in range(self.MAX_PASSES):
             prev_failed = failed
             failed = []
             ordered = nets
@@ -522,7 +522,7 @@ class Router:
                     failed.append(net)
             if not failed:
                 return self.routes
-            if attempt == self.max_passes - 1:
+            if attempt == self.MAX_PASSES - 1:
                 break
             # Charge the cells this pass leaned on, then rip everything
             # up and lead with the failures; the routes this pass *did*
@@ -545,7 +545,7 @@ class Router:
             nets = failed + rest
         if strict:
             raise RoutingError(
-                f"unroutable nets after {self.max_passes} passes: "
+                f"unroutable nets after {self.MAX_PASSES} passes: "
                 f"{failed[:6]} (of {len(failed)})"
             )
         return self.routes

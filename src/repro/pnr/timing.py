@@ -83,12 +83,12 @@ class TimingReport:
     """Static timing of one compiled design.
 
     ``mode`` records how wire delays were obtained: ``logic`` (zero
-    wires), ``placed`` (Manhattan estimates) or ``routed`` (exact per-net
-    routed wire counts).  ``arrivals`` maps each net to the time its
-    driving wire settles; ``path_through`` to the longest launch-to-
-    capture path passing through it; ``slacks`` to ``target_period -
-    path_through``; ``criticality`` to ``path_through / cycle_time`` in
-    [0, 1] (1.0 on the critical path).
+    wires) or ``routed`` (exact per-net routed wire counts).
+    ``arrivals`` maps each net to the time its driving wire settles;
+    ``path_through`` to the longest launch-to-capture path passing
+    through it; ``slacks`` to ``target_period - path_through``;
+    ``criticality`` to ``path_through / cycle_time`` in [0, 1] (1.0 on
+    the critical path).
     """
 
     mode: str
@@ -183,9 +183,9 @@ def _wire_delays(
     """Per-sink and per-output wire delays, plus the analysis mode.
 
     Routed mode counts the exact feed-through hops of each routed tree;
-    placed mode estimates hops from Manhattan distance (a wire reaches
-    the abutting neighbour for free, every further cell is one hop);
-    logic mode prices every wire at zero.
+    logic mode (no placement, state or routes) prices every wire at
+    zero.  A placement or a routing state alone raises ``ValueError``:
+    wire delays come from routed trees, never from estimates.
     """
     sink_delay: dict[tuple[str, int], int] = {}
     out_delay: dict[str, int] = {}
@@ -213,23 +213,11 @@ def _wire_delays(
                     depth.get(driven[0], 0) * HOP_DELAY if driven else 0
                 )
         return sink_delay, out_delay, "routed"
-    if placement is not None:
-        for net, sinks in design.sinks_of.items():
-            src = design.source_of.get(net)
-            sink_cells = [
-                placement.input_cell(design.gates[g]) for g, _ in sinks
-            ]
-            if src is not None:
-                sr, sc = placement.output_cell(design.gates[src])
-            else:
-                # A primary input enters at the dominance corner of its sinks.
-                sr = min((r for r, _ in sink_cells), default=0)
-                sc = min((c for _, c in sink_cells), default=0)
-            for (gname, pin), (tr, tc) in zip(sinks, sink_cells):
-                d = (tr - sr) + (tc - sc)
-                hops = max(0, d - 1) if src is not None else d
-                sink_delay[(gname, pin)] = hops * HOP_DELAY
-        return sink_delay, out_delay, "placed"
+    if placement is not None or state is not None or routes is not None:
+        raise ValueError(
+            "routed timing needs both state= and routes=; pass "
+            "neither (and no placement) for logic-only timing"
+        )
     return sink_delay, out_delay, "logic"
 
 
@@ -283,11 +271,14 @@ def analyze_timing(
     design:
         The mapped design (stage 1 output).
     placement:
-        Gate positions; enables Manhattan wire-delay estimates.
+        Gate positions of the routed design (default: the routing
+        state's own placement).  Only meaningful with ``state`` and
+        ``routes``.
     state, routes:
         The router's :class:`repro.pnr.route.RoutingState` and route map;
-        together they enable exact per-net routed wire counts (this is
-        the mode the flow reports).
+        together they enable exact per-net routed wire counts (``routed``
+        mode, the one the flow reports).  Without them every wire costs
+        zero (``logic`` mode).
     target_period:
         Required cycle time.  Defaults to the design's ideal-wire logic
         depth, so the default worst slack is ``-(wire delay on the
@@ -306,7 +297,9 @@ def analyze_timing(
         whole system, not just the local shard.  Does not affect the
         cycle time or the capture events.
 
-    Returns a :class:`TimingReport`.  Raises
+    Returns a :class:`TimingReport`.  Raises ``ValueError`` when a
+    placement (or only one of ``state`` / ``routes``) is passed without
+    the other routed inputs, and
     :class:`repro.pnr.place.PlacementError` if the gate graph has
     feedback (the monotone fabric cannot route it anyway).
     """

@@ -339,11 +339,10 @@ class CompileService:
         respawning the worker and resubmitting the job exactly once
         (``worker_restarts`` in :meth:`stats`), and only a second
         death surfaces (:class:`repro.pnr.parallel.WorkerLost`).
-    degrade_under_pressure:
-        When True (default), :meth:`compile_for_die` under pressure
-        serves the golden artifact marked ``degraded=True`` instead of
-        erroring when per-die repair exhausts its budget (see
-        ``docs/resilience.md``); False restores strict behaviour.
+
+    Under pressure, :meth:`compile_for_die` serves the golden artifact
+    marked ``degraded=True`` instead of erroring when per-die repair
+    exhausts its budget (see ``docs/resilience.md``).
 
     Use as a context manager or call :meth:`close` to release workers
     (the store needs no closing — its whole point is to outlive this).
@@ -360,7 +359,6 @@ class CompileService:
         retry: RetryPolicy | None = None,
         max_pending: int | None = None,
         isolation: str = "thread",
-        degrade_under_pressure: bool = True,
     ) -> None:
         if isolation not in ("thread", "process"):
             raise ValueError(
@@ -376,7 +374,6 @@ class CompileService:
         self._retry = retry if retry is not None else RetryPolicy()
         self._max_pending = max_pending
         self._isolation = isolation
-        self._degrade = degrade_under_pressure
         self._procs = (
             ProcessWorkerPool(workers=1) if isolation == "process" else None
         )
@@ -880,13 +877,13 @@ class CompileService:
         repairs in a later pool stage once it resolves, so no pool slot
         ever waits on another job.
 
-        Graceful degradation (``degrade_under_pressure``, default on):
-        when repair declines (:class:`RepairFallback`) while the
-        service is saturated, or the job's deadline/worker budget is
-        exhausted, the future resolves to the **golden** artifact
-        marked ``degraded=True`` instead of erroring — correct for the
-        defect-free fabric, not adapted to this die, and never cached,
-        so a calmer resubmission performs the real repair.
+        Graceful degradation: when repair declines
+        (:class:`RepairFallback`) while the service is saturated, or
+        the job's deadline/worker budget is exhausted, the future
+        resolves to the **golden** artifact marked ``degraded=True``
+        instead of erroring — correct for the defect-free fabric, not
+        adapted to this die, and never cached, so a calmer
+        resubmission performs the real repair.
         """
         options = options or CompileOptions()
         if options.shards is not None or options.max_side is not None:
@@ -921,14 +918,12 @@ class CompileService:
                     # Repair declined.  With the queue full, a cold
                     # defect-aware compile now would stall everyone
                     # behind it: serve the stand-in below instead.
-                    if not (self._degrade and self._under_pressure()):
+                    if not self._under_pressure():
                         return self._compile_cold(
                             netlist, options,
                             token=token, defect_map=defect_map,
                         )
             except (CompileTimeout, TransientFault) as e:
-                if not self._degrade:
-                    raise
                 # The job's time or worker budget is spent — the golden
                 # stand-in beats erroring the die.
                 if isinstance(e, CompileTimeout):

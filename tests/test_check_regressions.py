@@ -142,22 +142,3 @@ def test_cli_prints_compile_s_trajectory(tmp_path, committed, capsys):
     out = capsys.readouterr().out
     assert "compile_s" in out
     assert "recorded, not gated" in out
-
-
-def test_service_rows_are_printed_but_never_gated(tmp_path, committed, capsys):
-    """The compile-service rows show in the drift table and cannot fail
-    the gate no matter how badly they move (ISSUE 7: printed, not gated)."""
-    fresh = copy.deepcopy(committed)
-    svc = fresh.setdefault("microbench", {}).setdefault("service", {})
-    svc["throughput"] = {"speedup": 0.01, "jobs_per_s": 0.1, "cache_hit_rate": 0.0}
-    svc["incremental"] = {"incremental_speedup": 0.5, "cold_s": 1, "incremental_s": 99}
-    assert check(committed, fresh) == []
-
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps(committed))
-    fresh_p = tmp_path / "fresh.json"
-    fresh_p.write_text(json.dumps(fresh))
-    assert main(["--baseline", str(base), "--fresh", str(fresh_p)]) == 0
-    out = capsys.readouterr().out
-    assert "service.throughput" in out
-    assert "incremental_speedup" in out

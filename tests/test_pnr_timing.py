@@ -66,12 +66,14 @@ class TestAnalyzeTiming:
         assert report.worst_slack == 0
         assert report.wire_delay == 0
 
-    def test_placed_mode_estimates_wires(self):
-        nl = one_bit_adder()
-        res = compile_to_fabric(nl, seed=0)
-        report = analyze_timing(res.design, res.placement)
-        assert report.mode == "placed"
-        assert report.cycle_time >= report.logic_delay
+    def test_placement_without_routes_is_rejected(self):
+        """Wire delays come from routed trees: a bare placement (or a
+        routing state without its routes) raises instead of estimating."""
+        res = compile_to_fabric(one_bit_adder(), seed=0)
+        with pytest.raises(ValueError, match="state= and routes="):
+            analyze_timing(res.design, res.placement)
+        with pytest.raises(ValueError, match="state= and routes="):
+            analyze_timing(res.design, state=res.routing_state)
 
     @pytest.mark.parametrize(
         "netlist",

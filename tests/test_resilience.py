@@ -514,16 +514,6 @@ def test_exhausted_die_repair_degrades_to_marked_golden():
     assert stats["submissions"] == stats["settled"] + stats["shed"]
 
 
-def test_degradation_can_be_disabled():
-    nl = ripple_carry_netlist(2)
-    die = sample_defect_map(13, 13, cell_fail=0.01, wire_fail=0.004, seed=9)
-    with CompileService(workers=0, degrade_under_pressure=False) as svc:
-        svc.compile(nl)
-        with pytest.raises(CompileTimeout):
-            svc.compile_for_die(nl, die, CompileOptions(deadline=1e-6))
-    assert svc.stats()["degraded"] == 0
-
-
 def test_repair_fallback_under_pressure_serves_degraded_golden():
     nl = ripple_carry_netlist(2)
     die = sample_defect_map(13, 13, cell_fail=0.01, wire_fail=0.004, seed=9)

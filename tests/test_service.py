@@ -248,6 +248,24 @@ def test_concurrency_stress_duplicates_coalesce_to_one_compile():
     assert stats["coalesced"] + stats["cache"]["hits"] == 15
 
 
+def test_warm_second_wave_of_a_mix_is_all_hits():
+    """A burst then a repeat of the same mix: one compile per distinct
+    circuit, and every other submission coalesces or hits the cache."""
+    makers = [
+        lambda: ripple_carry_netlist(2),
+        lambda: ripple_carry_netlist(4),
+        lambda: array_multiplier_netlist(2),
+    ]
+    jobs = [makers[i % 3]() for i in range(18)]
+    with CompileService(workers=4, cache_capacity=16) as svc:
+        for _ in range(2):
+            for f in [svc.submit(nl) for nl in jobs]:
+                f.result()
+        stats = svc.stats()
+    assert stats["compiles"] == 3
+    assert stats["coalesced"] + stats["cache"]["hits"] == 2 * len(jobs) - 3
+
+
 def test_results_are_invariant_under_worker_count():
     plan = [2, 4, 2, 4, 2]
     outcomes = []
